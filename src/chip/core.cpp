@@ -20,6 +20,11 @@ std::unique_ptr<CoreProgram> Core::take_program() {
   // and it is *accounted* lost, so a recovery window can be quantified.
   stats_.packets_dropped += packet_queue_.size();
   packet_queue_.clear();
+  // A fetched row not yet processed is a lost spike too; a write-back
+  // loses nothing.
+  stats_.packets_dropped += static_cast<std::uint64_t>(
+      std::count_if(dma_queue_.begin(), dma_queue_.end(),
+                    [](const DmaDone& d) { return !d.was_write; }));
   dma_queue_.clear();
   timer_pending_ = 0;
   return std::move(program_);
@@ -89,7 +94,12 @@ void Core::packet_interrupt(const router::Packet& p) {
 }
 
 void Core::dma_interrupt(const DmaDone& d) {
-  if (!usable()) return;
+  if (!usable()) {
+    // A row read that lands after its core was migrated away or killed:
+    // the spike that fetched it is lost.
+    if (!d.was_write) ++stats_.packets_dropped;
+    return;
+  }
   dma_queue_.push_back(d);
   dispatch();
 }

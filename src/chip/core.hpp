@@ -93,7 +93,9 @@ class Core final : public CoreApi {
     std::uint64_t packets_sent = 0;
     std::uint64_t instructions = 0;
     std::uint64_t overruns = 0;        // timer tick arrived before previous done
-    std::uint64_t packets_dropped = 0; // comms-controller queue overflow
+    /// Spikes lost at this core: comms-controller queue overflow, packets
+    /// to a dead core, and row reads discarded by a migration or a kill.
+    std::uint64_t packets_dropped = 0;
     std::size_t max_packet_queue = 0;
   };
 

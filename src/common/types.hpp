@@ -77,6 +77,13 @@ constexpr ChipCoord chip_of_p2p(P2pAddress a) {
 /// identifier of the neuron that fired").
 using RoutingKey = std::uint32_t;
 
+/// Key layout: the low kNeuronKeyBits bits index a neuron within its source
+/// slice, the high bits number the slice.  Placement assigns keys this way,
+/// and the synaptic-row table (neural::RowStore) looks them up by it.
+inline constexpr int kNeuronKeyBits = 11;  // up to 2048 neurons per core
+inline constexpr RoutingKey kSliceKeyMask =
+    ~((RoutingKey{1} << kNeuronKeyBits) - 1);
+
 }  // namespace spinn
 
 template <>

@@ -1,7 +1,5 @@
 #include "map/loader.hpp"
 
-#include <unordered_map>
-
 namespace spinn::map {
 
 LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
@@ -46,27 +44,26 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
     }
   }
 
-  // 3. Build synaptic rows, one RowStore per used core.
-  std::unordered_map<CoreId, std::shared_ptr<neural::RowStore>> stores;
-  for (const Slice& s : placement.slices) {
-    if (!stores.count(s.core)) {
-      stores[s.core] = std::make_shared<neural::RowStore>();
-    }
-  }
+  // 3. Build synaptic rows, one RowStore per slice (every slice has a core
+  //    of its own).  A population's slices are consecutive
+  //    neurons_per_core chunks, so a neuron's slice is one division away.
+  std::vector<std::shared_ptr<neural::RowStore>> stores(
+      placement.slices.size());
+  for (auto& store : stores) store = std::make_shared<neural::RowStore>();
+  auto slice_index = [&](neural::PopulationId pop, std::uint32_t neuron) {
+    return placement.by_population[pop][neuron / cfg_.neurons_per_core];
+  };
 
   for (const neural::Projection& proj : net.projections()) {
     const neural::Population& pre = net.population(proj.pre);
     const neural::Population& post = net.population(proj.post);
     for (std::uint32_t i = 0; i < pre.size; ++i) {
-      const auto pre_slice = slice_of(placement, proj.pre, i);
-      if (!pre_slice.has_value()) continue;
-      const Slice& ps = placement.slices[*pre_slice];
+      const Slice& ps = placement.slices[slice_index(proj.pre, i)];
       const RoutingKey key = ps.key_base + (i - ps.first_neuron);
 
       auto add_synapse = [&](std::uint32_t j, double w, double d_ms) {
-        const auto post_slice = slice_of(placement, proj.post, j);
-        if (!post_slice.has_value()) return;
-        const Slice& qs = placement.slices[*post_slice];
+        const std::size_t qi = slice_index(proj.post, j);
+        const Slice& qs = placement.slices[qi];
         neural::Synapse syn;
         syn.weight_raw = neural::Synapse::pack_weight(w);
         syn.inhibitory = proj.inhibitory;
@@ -76,7 +73,7 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
         if (delay > neural::kMaxDelayTicks) delay = neural::kMaxDelayTicks;
         syn.delay = delay;
         syn.target = static_cast<std::uint16_t>(j - qs.first_neuron);
-        neural::SynapticRow& row = stores[qs.core]->row_for(key);
+        neural::SynapticRow& row = stores[qi]->row_for(key);
         row.synapses.push_back(syn);
         row.plastic = row.plastic || syn.plastic;
         ++report.total_synapses;
@@ -116,9 +113,10 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
   }
 
   // 4. Charge SDRAM and install the applications.
-  for (const Slice& s : placement.slices) {
+  for (std::size_t si = 0; si < placement.slices.size(); ++si) {
+    const Slice& s = placement.slices[si];
     const neural::Population& pop = net.population(s.pop);
-    auto& store = stores[s.core];
+    auto& store = stores[si];
     report.total_rows += store->num_rows();
 
     chip::Chip& chip = machine.chip_at(s.core.chip);

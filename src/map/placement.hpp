@@ -31,11 +31,6 @@ struct MapperConfig {
   bool scatter = false;
 };
 
-/// Number of AER key bits reserved for the neuron index within a slice.
-inline constexpr int kNeuronKeyBits = 11;  // up to 2048 neurons per core
-inline constexpr RoutingKey kSliceKeyMask =
-    ~((RoutingKey{1} << kNeuronKeyBits) - 1);
-
 struct Slice {
   neural::PopulationId pop = 0;
   std::uint32_t first_neuron = 0;  // within the population

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "common/fixed_point.hpp"
@@ -57,34 +57,65 @@ struct SynapticRow {
   }
 };
 
-/// All rows resident on one core, keyed by the source neuron's AER key.
-/// (Physically these live in the node's shared SDRAM; the map keeps the
-/// functional content while chip::Sdram accounts the space.)
+/// All rows resident on one core, found by the source neuron's AER key
+/// through the master population table of §5.3: the key's slice bits
+/// (key >> kNeuronKeyBits) select a dense index over that source slice's
+/// neurons, and the index points into a flat vector of rows.  Only
+/// row_for() grows the table; looking up any other key misses.
+/// (Physically the rows live in the node's shared SDRAM; the table keeps
+/// the functional content while chip::Sdram accounts the space.)
 class RowStore {
  public:
-  SynapticRow& row_for(RoutingKey key) { return rows_[key]; }
+  /// The row of `key`, created empty on first use.  The reference is
+  /// invalidated by the next row_for().
+  SynapticRow& row_for(RoutingKey key) {
+    const RoutingKey slice = key >> kNeuronKeyBits;
+    const RoutingKey neuron = key & ~kSliceKeyMask;
+    if (slice >= index_.size()) index_.resize(slice + 1);
+    std::vector<std::uint32_t>& neurons = index_[slice];
+    if (neuron >= neurons.size()) neurons.resize(neuron + 1, kNoRow);
+    std::uint32_t& at = neurons[neuron];
+    if (at == kNoRow) {
+      at = static_cast<std::uint32_t>(rows_.size());
+      rows_.emplace_back();
+    }
+    return rows_[at];
+  }
 
   const SynapticRow* find(RoutingKey key) const {
-    const auto it = rows_.find(key);
-    return it == rows_.end() ? nullptr : &it->second;
+    const std::uint32_t at = lookup(key);
+    return at == kNoRow ? nullptr : &rows_[at];
   }
 
   /// Mutable lookup for plasticity processing (the row is "in DTCM").
   SynapticRow* find_mutable(RoutingKey key) {
-    const auto it = rows_.find(key);
-    return it == rows_.end() ? nullptr : &it->second;
+    const std::uint32_t at = lookup(key);
+    return at == kNoRow ? nullptr : &rows_[at];
   }
 
   std::size_t num_rows() const { return rows_.size(); }
 
   std::uint64_t total_bytes() const {
     std::uint64_t total = 0;
-    for (const auto& [k, row] : rows_) total += row.bytes();
+    for (const SynapticRow& row : rows_) total += row.bytes();
     return total;
   }
 
  private:
-  std::unordered_map<RoutingKey, SynapticRow> rows_;
+  static constexpr std::uint32_t kNoRow =
+      std::numeric_limits<std::uint32_t>::max();
+
+  std::uint32_t lookup(RoutingKey key) const {
+    const RoutingKey slice = key >> kNeuronKeyBits;
+    if (slice >= index_.size()) return kNoRow;
+    const std::vector<std::uint32_t>& neurons = index_[slice];
+    const RoutingKey neuron = key & ~kSliceKeyMask;
+    return neuron < neurons.size() ? neurons[neuron] : kNoRow;
+  }
+
+  /// index_[slice][neuron] is the row of that source neuron, or kNoRow.
+  std::vector<std::vector<std::uint32_t>> index_;
+  std::vector<SynapticRow> rows_;
 };
 
 }  // namespace spinn::neural

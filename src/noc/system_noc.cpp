@@ -28,11 +28,17 @@ void SystemNoc::start_next() {
   bytes_transferred_ += req.bytes;
   ++transfers_;
 
-  sim_.after_as(service, actor_, [this, done = std::move(req.done)] {
-    if (done) done();
-    busy_ = false;
-    start_next();
-  });
+  in_service_ = std::move(req.done);
+  sim_.after_as(service, actor_, [this] { finish_service(); });
+}
+
+void SystemNoc::finish_service() {
+  // A transfer queued by the completion waits for start_next(): busy_ is
+  // still set, so in_service_ is not replaced while it runs.
+  if (in_service_) in_service_();
+  in_service_ = Completion{};
+  busy_ = false;
+  start_next();
 }
 
 }  // namespace spinn::noc

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -26,7 +25,7 @@ struct SystemNocConfig {
 
 class SystemNoc {
  public:
-  using Completion = std::function<void()>;
+  using Completion = sim::EventAction;
 
   SystemNoc(sim::Simulator& sim, const SystemNocConfig& config);
 
@@ -50,11 +49,15 @@ class SystemNoc {
   };
 
   void start_next();
+  void finish_service();
 
   sim::Simulator& sim_;
   sim::ActorId actor_ = sim::kRootActor;
   SystemNocConfig cfg_;
   std::deque<Request> queue_;
+  /// Completion of the transfer being serviced (valid while busy_), so the
+  /// service event captures only `this`.
+  Completion in_service_;
   bool busy_ = false;
   std::uint64_t bytes_transferred_ = 0;
   std::uint64_t transfers_ = 0;

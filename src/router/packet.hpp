@@ -34,29 +34,33 @@ enum class ErState : std::uint8_t {
   SecondLeg = 2,
 };
 
+/// Fields are ordered by alignment so the packet packs into 32 bytes: it is
+/// copied into every FIFO slot and every event capture it rides in.
 struct Packet {
-  PacketType type = PacketType::Multicast;
-  ErState er = ErState::Normal;
+  /// Simulation bookkeeping (not on the wire): when the source core
+  /// emitted it.
+  TimeNs launched_at = 0;
 
   /// Multicast AER key (valid when type == Multicast).
   RoutingKey key = 0;
 
+  /// Optional 32-bit payload (nn boot words, p2p commands, debug).
+  std::optional<std::uint32_t> payload;
+
+  /// Simulation bookkeeping (not on the wire): routers traversed.
+  std::uint32_t hops = 0;
+
   /// P2P addressing (valid when type == PointToPoint).
   P2pAddress src = 0;
   P2pAddress dst = 0;
-
-  /// Optional 32-bit payload (nn boot words, p2p commands, debug).
-  std::optional<std::uint32_t> payload;
 
   /// Extra payload words riding behind this packet (models a burst of nn
   /// packets carrying one flood-fill block as a single simulation event;
   /// the wire cost is still charged via bits()).
   std::uint16_t burst_words = 0;
 
-  /// Simulation bookkeeping (not on the wire).
-  TimeNs launched_at = 0;  // when the source core emitted it
-  std::uint32_t hops = 0;  // routers traversed
-  std::uint64_t trace_id = 0;
+  PacketType type = PacketType::Multicast;
+  ErState er = ErState::Normal;
 
   /// Wire size: 40-bit base, +32 if a payload rides along, +32 per burst
   /// word.
@@ -64,5 +68,7 @@ struct Packet {
     return 40 + (payload.has_value() ? 32 : 0) + 32 * burst_words;
   }
 };
+
+static_assert(sizeof(Packet) == 32, "Packet stays within 32 bytes");
 
 }  // namespace spinn::router

@@ -1,5 +1,7 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -11,38 +13,59 @@ std::uint64_t EventQueue::next_seq(ActorId actor) {
 }
 
 void EventQueue::push(TimeNs when, EventPriority priority, ActorId key_actor,
-                      ActorId exec_actor, EventAction action) {
+                      ActorId exec_actor, EventAction&& action) {
   if (when < now_) {
     throw std::logic_error("EventQueue: scheduling into the past");
   }
-  if (exec_actor == kRootActor) root_whens_.insert(when);
-  heap_.push(Entry{EventKey{when, priority, key_actor, next_seq(key_actor)},
-                   exec_actor, std::move(action)});
+  insert(EventKey{when, priority, key_actor, next_seq(key_actor)}, exec_actor,
+         std::move(action));
 }
 
-void EventQueue::schedule_at(TimeNs when, EventAction action,
+void EventQueue::insert(const EventKey& key, ActorId exec_actor,
+                        EventAction&& action) {
+  static_assert(sizeof(Record) == 32, "heap records stay compact");
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(actions_.size());
+    actions_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(action);
+  }
+  if (exec_actor == kRootActor) {
+    root_whens_.push_back(key.when);
+    std::push_heap(root_whens_.begin(), root_whens_.end(),
+                   std::greater<>{});
+  }
+  heap_.push_back(Record{key, exec_actor, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void EventQueue::schedule_at(TimeNs when, EventAction&& action,
                              EventPriority priority) {
   push(when, priority, current_exec_actor_, current_exec_actor_,
        std::move(action));
 }
 
-void EventQueue::schedule_in(TimeNs delay, EventAction action,
+void EventQueue::schedule_in(TimeNs delay, EventAction&& action,
                              EventPriority priority) {
   schedule_at(now_ + delay, std::move(action), priority);
 }
 
 void EventQueue::schedule_at_as(TimeNs when, ActorId actor,
-                                EventAction action, EventPriority priority) {
+                                EventAction&& action, EventPriority priority) {
   push(when, priority, actor, actor, std::move(action));
 }
 
 void EventQueue::schedule_in_as(TimeNs delay, ActorId actor,
-                                EventAction action, EventPriority priority) {
+                                EventAction&& action, EventPriority priority) {
   schedule_at_as(now_ + delay, actor, std::move(action), priority);
 }
 
 void EventQueue::schedule_handoff(TimeNs when, ActorId exec_actor,
-                                  EventAction action, EventPriority priority) {
+                                  EventAction&& action,
+                                  EventPriority priority) {
   push(when, priority, current_exec_actor_, exec_actor, std::move(action));
 }
 
@@ -52,27 +75,31 @@ EventKey EventQueue::make_handoff_key(TimeNs when, EventPriority priority) {
 }
 
 void EventQueue::insert_foreign(const EventKey& key, ActorId exec_actor,
-                                EventAction action) {
+                                EventAction&& action) {
   if (key.when < now_) {
     throw std::logic_error("EventQueue: foreign event in the past");
   }
-  if (exec_actor == kRootActor) root_whens_.insert(key.when);
-  heap_.push(Entry{key, exec_actor, std::move(action)});
+  insert(key, exec_actor, std::move(action));
 }
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  // priority_queue::top() is const&; we must copy the action out before pop.
-  Entry entry = heap_.top();
-  heap_.pop();
-  if (entry.exec_actor == kRootActor) {
-    root_whens_.erase(root_whens_.find(entry.key.when));
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Record rec = heap_.back();
+  heap_.pop_back();
+  if (rec.exec_actor == kRootActor) {
+    std::pop_heap(root_whens_.begin(), root_whens_.end(), std::greater<>{});
+    root_whens_.pop_back();
   }
-  now_ = entry.key.when;
+  // Run from a local: a nested schedule_* may grow (reallocate) actions_
+  // or hand this slot to a new event.
+  EventAction action = std::move(actions_[rec.slot]);
+  free_slots_.push_back(rec.slot);
+  now_ = rec.key.when;
   ++executed_;
   executing_ = true;
-  current_key_ = entry.key;
-  current_exec_actor_ = entry.exec_actor;
+  current_key_ = rec.key;
+  current_exec_actor_ = rec.exec_actor;
   // Reset the execution context even if the action throws (the engine's
   // fail-fast checks do), so later scheduling isn't silently mis-keyed to a
   // stale actor.
@@ -83,7 +110,7 @@ bool EventQueue::step() {
       q->current_exec_actor_ = kRootActor;
     }
   } reset{this};
-  entry.action();
+  action();
   return true;
 }
 
@@ -99,8 +126,8 @@ std::uint64_t EventQueue::run() {
 
 std::uint64_t EventQueue::run_window(TimeNs bound, bool inclusive) {
   std::uint64_t count = 0;
-  while (!heap_.empty() && (inclusive ? heap_.top().key.when <= bound
-                                      : heap_.top().key.when < bound)) {
+  while (!heap_.empty() && (inclusive ? heap_.front().key.when <= bound
+                                      : heap_.front().key.when < bound)) {
     step();
     ++count;
   }
@@ -109,8 +136,10 @@ std::uint64_t EventQueue::run_window(TimeNs bound, bool inclusive) {
 }
 
 void EventQueue::clear() {
-  while (!heap_.empty()) heap_.pop();
+  heap_.clear();
   root_whens_.clear();
+  actions_.clear();
+  free_slots_.clear();
 }
 
 void EventQueue::reset() {

@@ -15,11 +15,12 @@
 // on the sharded engine's per-shard queues (see sim/sharded_simulator.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <queue>
-#include <set>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -35,7 +36,81 @@ enum class EventPriority : std::uint8_t {
   Background = 3,  // statistics, watchdogs
 };
 
-using EventAction = std::function<void()>;
+/// The work of one event: a move-only callable stored inline.  Every event
+/// in the machine model is a small lambda (a `this` pointer plus a packet or
+/// a DMA descriptor), so a fixed inline capacity makes scheduling and
+/// running an event allocation-free.  A capture larger than kCapacity fails
+/// to compile at its schedule site; there is no heap fallback.
+class EventAction {
+ public:
+  /// Inline capture bytes: the largest capture in the tree is the
+  /// link-delivery lambda of mesh/machine.cpp (three words, a link
+  /// direction and a 32-byte router::Packet).
+  static constexpr std::size_t kCapacity = 64;
+
+  EventAction() noexcept = default;
+
+  template <typename F, typename Fn = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<Fn, EventAction> &&
+                                        std::is_invocable_r_v<void, Fn&>>>
+  EventAction(F&& f) {  // implicit: schedule sites pass bare lambdas
+    static_assert(sizeof(Fn) <= kCapacity,
+                  "EventAction: the capture exceeds the inline capacity");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "EventAction: the capture is over-aligned");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "EventAction: the capture must be nothrow-movable");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &kOps<Fn>;
+  }
+
+  EventAction(EventAction&& other) noexcept { take(other); }
+  EventAction& operator=(EventAction&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  EventAction(const EventAction&) = delete;
+  EventAction& operator=(const EventAction&) = delete;
+  ~EventAction() { reset(); }
+
+  explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+  /// Run the callable.  Must not be empty.
+  void operator()() { ops_->invoke(storage_); }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* self);
+    /// Move-construct into `dst`, then destroy `src`.
+    void (*relocate)(void* dst, void* src) noexcept;
+    void (*destroy)(void* self) noexcept;
+  };
+
+  template <typename Fn>
+  static constexpr Ops kOps{
+      [](void* self) { (*static_cast<Fn*>(self))(); },
+      [](void* dst, void* src) noexcept {
+        Fn* from = static_cast<Fn*>(src);
+        ::new (dst) Fn(std::move(*from));
+        from->~Fn();
+      },
+      [](void* self) noexcept { static_cast<Fn*>(self)->~Fn(); }};
+
+  void take(EventAction& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->relocate(storage_, other.storage_);
+    ops_ = std::exchange(other.ops_, nullptr);
+  }
+  void reset() noexcept {
+    if (ops_ != nullptr) std::exchange(ops_, nullptr)->destroy(storage_);
+  }
+
+  alignas(std::max_align_t) unsigned char storage_[kCapacity];
+  const Ops* ops_ = nullptr;
+};
 
 /// Actor whose state an event belongs to.  0 is the root actor (host-side
 /// code, tests, the boot controller); chips are numbered from 1.
@@ -73,11 +148,11 @@ class EventQueue {
   /// Schedule `action` to run at absolute time `when` (must be >= now()).
   /// The event is keyed to — and will execute under — the currently
   /// executing actor (kRootActor when called outside event execution).
-  void schedule_at(TimeNs when, EventAction action,
+  void schedule_at(TimeNs when, EventAction&& action,
                    EventPriority priority = EventPriority::Default);
 
   /// Schedule `action` after a relative delay.
-  void schedule_in(TimeNs delay, EventAction action,
+  void schedule_in(TimeNs delay, EventAction&& action,
                    EventPriority priority = EventPriority::Default);
 
   /// Schedule an event keyed to and executing under an explicit actor.
@@ -86,9 +161,9 @@ class EventQueue {
   /// numbered by its owner rather than by whoever poked it.  The caller must
   /// have exclusive access to `actor`'s sequence counter — true for all
   /// setup/boot paths, which are single-threaded.
-  void schedule_at_as(TimeNs when, ActorId actor, EventAction action,
+  void schedule_at_as(TimeNs when, ActorId actor, EventAction&& action,
                       EventPriority priority = EventPriority::Default);
-  void schedule_in_as(TimeNs delay, ActorId actor, EventAction action,
+  void schedule_in_as(TimeNs delay, ActorId actor, EventAction&& action,
                       EventPriority priority = EventPriority::Default);
 
   /// Schedule a cross-actor handoff: the event is *keyed* to the current
@@ -96,7 +171,7 @@ class EventQueue {
   /// but *executes* under `exec_actor` (receiver side, so everything it
   /// schedules belongs to the receiver).  This is the packet-delivery
   /// primitive the sharded engine routes through mailboxes.
-  void schedule_handoff(TimeNs when, ActorId exec_actor, EventAction action,
+  void schedule_handoff(TimeNs when, ActorId exec_actor, EventAction&& action,
                         EventPriority priority = EventPriority::Default);
 
   /// Reserve the next sequence number of the currently executing actor and
@@ -108,7 +183,7 @@ class EventQueue {
   /// Insert an event carrying an externally assigned key (a drained mailbox
   /// entry).  `key.when` must be >= now().  Does not touch any counter.
   void insert_foreign(const EventKey& key, ActorId exec_actor,
-                      EventAction action);
+                      EventAction&& action);
 
   /// Run the earliest pending event.  Returns false if the queue is empty.
   bool step();
@@ -130,14 +205,14 @@ class EventQueue {
   std::uint64_t executed() const { return executed_; }
 
   /// Key of the earliest pending event.  Only valid when !empty().
-  const EventKey& peek_key() const { return heap_.top().key; }
+  const EventKey& peek_key() const { return heap_.front().key; }
 
   /// Earliest `when` among pending root-exec events, or kTimeNever.  The
   /// sharded engine bounds its parallel windows below this instant: a
   /// far-future root event (an abandoned boot's probe timer) then no longer
   /// forces the sequential merge for a whole run_until span.
   TimeNs earliest_root_when() const {
-    return root_whens_.empty() ? kTimeNever : *root_whens_.begin();
+    return root_whens_.empty() ? kTimeNever : root_whens_.front();
   }
 
   /// True while an event's action is being executed by this queue.
@@ -167,28 +242,36 @@ class EventQueue {
   void reset();
 
  private:
-  struct Entry {
+  /// One pending event as the heap orders it: the key plus where its action
+  /// lives.  Ordered by key alone; the slot never takes part.
+  struct Record {
     EventKey key;
     ActorId exec_actor = kRootActor;
-    EventAction action;
+    std::uint32_t slot = 0;
   };
+  /// The std heap algorithms build max-heaps; ordering by "later" makes
+  /// heap_ a min-heap.
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Record& a, const Record& b) const {
       return b.key < a.key;
     }
   };
 
   std::uint64_t next_seq(ActorId actor);
   void push(TimeNs when, EventPriority priority, ActorId key_actor,
-            ActorId exec_actor, EventAction action);
+            ActorId exec_actor, EventAction&& action);
+  /// Store the action in a slot and add its record to the heap(s).
+  void insert(const EventKey& key, ActorId exec_actor, EventAction&& action);
 
   TimeNs now_ = 0;
   std::uint64_t executed_ = 0;
-  /// Timestamps of pending root-exec events (multiset: several may share an
-  /// instant).  Root events (boot controller, host-side code) may reach
-  /// across shard boundaries, so the sharded engine runs them only on its
-  /// sequential merge and bounds parallel windows below the earliest one.
-  std::multiset<TimeNs> root_whens_;
+  /// Min-heap of the `when`s of pending root-exec events.  Root events
+  /// (boot controller, host-side code) may reach across shard boundaries,
+  /// so the sharded engine runs them only on its sequential merge and
+  /// bounds parallel windows below the earliest one.  Events leave the
+  /// queue in key order, so an executing root event's `when` is always this
+  /// heap's top.
+  std::vector<TimeNs> root_whens_;
   bool executing_ = false;
   ActorId current_exec_actor_ = kRootActor;
   EventKey current_key_{};
@@ -196,7 +279,12 @@ class EventQueue {
   /// An actor's counter lives in its home queue: only code executing under
   /// that actor (or single-threaded setup code) may draw from it.
   std::vector<std::uint64_t> seq_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  /// Binary min-heap of pending events by key.
+  std::vector<Record> heap_;
+  /// Action store: a record's slot indexes it.  Slots are recycled through
+  /// free_slots_, so a queue at a steady depth stops allocating.
+  std::vector<EventAction> actions_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace spinn::sim

@@ -130,7 +130,7 @@ std::uint64_t ShardedSimulator::executed() const {
 }
 
 void ShardedSimulator::post_handoff(Simulator& src, TimeNs delay,
-                                    ActorId exec_actor, EventAction action,
+                                    ActorId exec_actor, EventAction&& action,
                                     EventPriority priority) {
   EventQueue& q = src.queue_;
   const TimeNs when = q.now() + delay;

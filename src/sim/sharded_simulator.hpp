@@ -65,7 +65,7 @@ class ShardedSimulator final : public ISimulationEngine {
   /// Simulator::handoff).  Same shard: local insert.  Different shard:
   /// direct insert when single-threaded, mailbox during parallel windows.
   void post_handoff(Simulator& src, TimeNs delay, ActorId exec_actor,
-                    EventAction action, EventPriority priority);
+                    EventAction&& action, EventPriority priority);
 
   /// Shard context executing an event on the calling thread right now
   /// (null when idle).  Observation sinks (spike recording) use this to

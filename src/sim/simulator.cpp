@@ -4,7 +4,7 @@
 
 namespace spinn::sim {
 
-void Simulator::handoff(TimeNs delay, ActorId exec_actor, EventAction action,
+void Simulator::handoff(TimeNs delay, ActorId exec_actor, EventAction&& action,
                         EventPriority priority) {
   if (engine_ != nullptr) {
     engine_->post_handoff(*this, delay, exec_actor, std::move(action),

@@ -34,11 +34,11 @@ class Simulator {
   Rng& rng() { return rng_; }
 
   /// Convenience wrappers.
-  void at(TimeNs when, EventAction action,
+  void at(TimeNs when, EventAction&& action,
           EventPriority priority = EventPriority::Default) {
     queue_.schedule_at(when, std::move(action), priority);
   }
-  void after(TimeNs delay, EventAction action,
+  void after(TimeNs delay, EventAction&& action,
              EventPriority priority = EventPriority::Default) {
     queue_.schedule_in(delay, std::move(action), priority);
   }
@@ -46,11 +46,11 @@ class Simulator {
   /// Actor-tagged wrappers: key and execute the event under an explicit
   /// actor.  Used at the non-event entry points into a component's event
   /// tree (timer start, self-test kick-off) — see EventQueue::schedule_at_as.
-  void at_as(TimeNs when, ActorId actor, EventAction action,
+  void at_as(TimeNs when, ActorId actor, EventAction&& action,
              EventPriority priority = EventPriority::Default) {
     queue_.schedule_at_as(when, actor, std::move(action), priority);
   }
-  void after_as(TimeNs delay, ActorId actor, EventAction action,
+  void after_as(TimeNs delay, ActorId actor, EventAction&& action,
                 EventPriority priority = EventPriority::Default) {
     queue_.schedule_in_as(delay, actor, std::move(action), priority);
   }
@@ -61,7 +61,7 @@ class Simulator {
   /// destination actor's shard (via a mailbox during parallel windows).
   /// `delay` must be >= the engine's conservative lookahead window when the
   /// destination lives on another shard.
-  void handoff(TimeNs delay, ActorId exec_actor, EventAction action,
+  void handoff(TimeNs delay, ActorId exec_actor, EventAction&& action,
                EventPriority priority = EventPriority::Default);
 
   /// Shard this context belongs to (0 for standalone/serial).

@@ -218,6 +218,34 @@ TEST(Core, FailedCoreIgnoresEvents) {
   EXPECT_TRUE(log.empty());
 }
 
+TEST(Core, KillCountsRowReadsQueuedAndInFlight) {
+  CoreHarness h;
+
+  /// A 1.25 ms timer handler: a row read landing meanwhile waits queued.
+  class Busy final : public CoreProgram {
+   public:
+    std::uint64_t on_timer(CoreApi&) override { return 200'000; }
+  };
+  Core& core = h.chip.core(1);
+  core.load_program(std::make_unique<Busy>());
+  core.start();
+  h.sim.run();
+  core.timer_interrupt();
+  const TimeNs t0 = h.sim.now();
+  core.dma_read(64, /*cookie=*/1);       // lands after ~164 ns: queued
+  core.dma_read(100'000, /*cookie=*/2);  // ~100 us in the System NoC
+  core.dma_write(64, /*cookie=*/3);      // a write-back loses no spike
+  h.sim.run_until(t0 + 10 * kMicrosecond);
+  ASSERT_EQ(core.state(), CoreState::Busy);
+  const std::uint64_t before = core.stats().packets_dropped;
+
+  // Kill as the fault controller does: quiesce, then migrate away.
+  core.mark_failed();
+  ASSERT_NE(core.take_program(), nullptr);
+  h.sim.run();
+  EXPECT_EQ(core.stats().packets_dropped - before, 2u);
+}
+
 // ---- DMA through the System NoC ---------------------------------------------
 
 class DmaProbe final : public CoreProgram {

@@ -2,10 +2,11 @@
 // cross-shard mailbox path.
 //
 // Part 1 drives one EventQueue with random interleavings of schedule_at /
-// schedule_in / schedule_at_as / schedule_handoff / clear and checks the
-// kernel's documented invariants: execution follows the (when, priority,
-// actor, seq) total order, nothing ever executes before the clock it was
-// scheduled against, and the clock is monotone.
+// schedule_in / schedule_at_as / schedule_handoff / insert_foreign / clear
+// and checks the kernel's documented invariants: execution follows the
+// (when, priority, actor, seq) total order, nothing ever executes before the
+// clock it was scheduled against, the clock is monotone, and
+// earliest_root_when() matches a reference multiset after every operation.
 //
 // Part 2 runs a randomised multi-actor workload — self-scheduling event
 // trees with random cross-actor handoffs — on a standalone serial Simulator
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -37,83 +39,112 @@ class QueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(QueueFuzz, TotalOrderAndClockInvariantsHold) {
   Rng rng(GetParam());
   EventQueue q;
-  std::vector<EventKey> executed_keys;
-  std::vector<TimeNs> executed_times;
-  // Number of events already executed when each executed event was
-  // *scheduled* — lets the order check distinguish "queue misordered two
-  // pending events" (a bug) from "a higher-priority event was scheduled at
-  // the current instant after its peer already ran" (legal).
-  std::vector<std::size_t> executed_sched_stamp;
+  struct Observed {
+    std::vector<EventKey> keys;
+    std::vector<TimeNs> times;
+    // Number of events already executed when each executed event was
+    // *scheduled* — lets the order check distinguish "queue misordered two
+    // pending events" (a bug) from "a higher-priority event was scheduled
+    // at the current instant after its peer already ran" (legal).
+    std::vector<std::size_t> sched_stamp;
+    // Reference model of earliest_root_when(): the `when`s of pending
+    // root-exec events.
+    std::multiset<TimeNs> root_whens;
+  } seen;
   TimeNs last_now = 0;
   std::uint64_t scheduled = 0;
 
-  auto make_action = [&](TimeNs scheduled_at_now, TimeNs when) {
-    const std::size_t stamp = executed_keys.size();
-    return [&, scheduled_at_now, when, stamp] {
+  auto make_action = [&](TimeNs scheduled_at_now, TimeNs when,
+                         ActorId exec_actor) {
+    const std::size_t stamp = seen.keys.size();
+    const bool root = exec_actor == kRootActor;
+    if (root) seen.root_whens.insert(when);
+    return [&q, &seen, scheduled_at_now, when, stamp, root] {
       ASSERT_GE(q.now(), scheduled_at_now)
           << "executed before the clock it was scheduled against";
       ASSERT_EQ(q.now(), when) << "executed at the wrong instant";
       ASSERT_TRUE(q.executing());
-      executed_keys.push_back(q.current_key());
-      executed_times.push_back(q.now());
-      executed_sched_stamp.push_back(stamp);
+      seen.keys.push_back(q.current_key());
+      seen.times.push_back(q.now());
+      seen.sched_stamp.push_back(stamp);
+      if (root) seen.root_whens.erase(seen.root_whens.find(when));
     };
+  };
+  auto check_root_when = [&] {
+    const TimeNs want =
+        seen.root_whens.empty() ? kTimeNever : *seen.root_whens.begin();
+    ASSERT_EQ(q.earliest_root_when(), want);
   };
 
   for (int round = 0; round < 200; ++round) {
-    // A burst of random scheduling ops.
+    // A burst of random scheduling ops.  Outside event execution
+    // schedule_at / schedule_in run under the root actor; the other ops
+    // pick an actor, and actor 0 is the root.
     const int ops = 1 + static_cast<int>(rng.uniform_int(8));
     for (int i = 0; i < ops; ++i) {
       const TimeNs now = q.now();
       const TimeNs delay = static_cast<TimeNs>(rng.uniform_int(50));
       const EventPriority prio = random_priority(rng);
-      switch (rng.uniform_int(5)) {
+      const auto actor = static_cast<ActorId>(rng.uniform_int(5));
+      switch (rng.uniform_int(6)) {
         case 0:
-          q.schedule_at(now + delay, make_action(now, now + delay), prio);
+          q.schedule_at(now + delay, make_action(now, now + delay, kRootActor),
+                        prio);
           ++scheduled;
           break;
         case 1:
-          q.schedule_in(delay, make_action(now, now + delay), prio);
+          q.schedule_in(delay, make_action(now, now + delay, kRootActor),
+                        prio);
           ++scheduled;
           break;
         case 2:
-          q.schedule_at_as(now + delay,
-                           static_cast<ActorId>(rng.uniform_int(5)),
-                           make_action(now, now + delay), prio);
+          q.schedule_at_as(now + delay, actor,
+                           make_action(now, now + delay, actor), prio);
           ++scheduled;
           break;
         case 3:
-          q.schedule_handoff(now + delay,
-                             static_cast<ActorId>(rng.uniform_int(5)),
-                             make_action(now, now + delay), prio);
+          q.schedule_handoff(now + delay, actor,
+                             make_action(now, now + delay, actor), prio);
           ++scheduled;
           break;
         case 4:
-          if (rng.chance(0.05)) q.clear();  // rare teardown
+          // A drained mailbox entry: key stamped first, inserted later.
+          q.insert_foreign(q.make_handoff_key(now + delay, prio), actor,
+                           make_action(now, now + delay, actor));
+          ++scheduled;
+          break;
+        case 5:
+          if (rng.chance(0.05)) {  // rare teardown
+            q.clear();
+            seen.root_whens.clear();
+          }
           break;
       }
+      check_root_when();
     }
     // Execute a random number of pending events.
     const int steps = static_cast<int>(rng.uniform_int(6));
     for (int i = 0; i < steps && q.step(); ++i) {
+      check_root_when();
     }
     ASSERT_GE(q.now(), last_now) << "clock went backwards";
     last_now = q.now();
   }
   q.run();
+  check_root_when();
 
-  ASSERT_FALSE(executed_keys.empty());
-  for (std::size_t i = 1; i < executed_keys.size(); ++i) {
-    EXPECT_LE(executed_times[i - 1], executed_times[i])
+  ASSERT_FALSE(seen.keys.empty());
+  for (std::size_t i = 1; i < seen.keys.size(); ++i) {
+    EXPECT_LE(seen.times[i - 1], seen.times[i])
         << "simulated time went backwards at event " << i;
   }
   // Two events that were ever pending together must execute in key order:
   // j executing after i with key_j < key_i is only legal if j was scheduled
   // after i had already run.
-  for (std::size_t i = 0; i < executed_keys.size(); ++i) {
-    for (std::size_t j = i + 1; j < executed_keys.size(); ++j) {
-      if (executed_keys[j] < executed_keys[i]) {
-        EXPECT_GT(executed_sched_stamp[j], i)
+  for (std::size_t i = 0; i < seen.keys.size(); ++i) {
+    for (std::size_t j = i + 1; j < seen.keys.size(); ++j) {
+      if (seen.keys[j] < seen.keys[i]) {
+        EXPECT_GT(seen.sched_stamp[j], i)
             << "events " << i << " and " << j << " were pending together "
             << "but executed against the (when, priority, actor, seq) order";
       }

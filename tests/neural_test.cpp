@@ -223,6 +223,31 @@ TEST(RowStore, FindAndAccounting) {
   EXPECT_EQ(store.total_bytes(), (4 + 12) + (4 + 20u));
 }
 
+TEST(RowStore, MasterTableLookupsMissWithoutGrowing) {
+  RowStore store;
+  const RoutingKey slice3 = RoutingKey{3} << kNeuronKeyBits;
+  const RoutingKey slice4 = RoutingKey{4} << kNeuronKeyBits;
+  store.row_for(slice3 + 5).synapses.resize(2);
+  store.row_for(slice3 + 1).synapses.resize(1);
+  store.row_for(slice4 + 5).synapses.resize(3);  // same neuron, next slice
+  // A hit and misses within one source slice: between rows and past the
+  // slice's last indexed neuron.
+  ASSERT_NE(store.find(slice3 + 5), nullptr);
+  EXPECT_EQ(store.find(slice3 + 5)->synapses.size(), 2u);
+  EXPECT_EQ(store.find(slice4 + 5)->synapses.size(), 3u);
+  EXPECT_EQ(store.find(slice3 + 2), nullptr);
+  EXPECT_EQ(store.find(slice3 + 6), nullptr);
+  // Unseen slices: below the table's slices, and past its end.
+  EXPECT_EQ(store.find(RoutingKey{1} << kNeuronKeyBits), nullptr);
+  EXPECT_EQ(store.find(RoutingKey{5} << kNeuronKeyBits), nullptr);
+  EXPECT_EQ(store.find_mutable(0xFFFFFFFFu), nullptr);
+  // Lookups never add rows; row_for on a known key returns its row.
+  EXPECT_EQ(store.num_rows(), 3u);
+  EXPECT_EQ(&store.row_for(slice3 + 5), store.find(slice3 + 5));
+  EXPECT_EQ(store.num_rows(), 3u);
+  EXPECT_EQ(store.total_bytes(), (4 + 8) + (4 + 4) + (4 + 12u));
+}
+
 // ---- network builder ---------------------------------------------------------
 
 TEST(Network, BuilderAssignsIds) {
