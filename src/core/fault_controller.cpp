@@ -96,6 +96,7 @@ void FaultController::kill_core(std::size_t index) {
   mesh::Machine& machine = system_.machine();
   const CoreId victim{r.action.chip, r.action.core};
   chip::Core& core = machine.chip_at(victim.chip).core(victim.core);
+  const std::uint64_t before = dropped_now();
   core.mark_failed();  // quiesce: the victim takes no further interrupts
   obs::Tracer::global().instant("fault", "fault.quiesce", r.executed_at,
                                 "index", index, /*virtual_clock=*/true);
@@ -115,12 +116,13 @@ void FaultController::kill_core(std::size_t index) {
   }
   r.migrations = 1;
   r.ok = true;
-  arm_loss_probe(index);
+  arm_loss_probe(index, before);
 }
 
 void FaultController::kill_chip(std::size_t index) {
   FaultRecord& r = records_[index];
   mesh::Machine& machine = system_.machine();
+  const std::uint64_t before = dropped_now();
   machine.fail_chip(r.action.chip);
   obs::Tracer::global().instant("fault", "fault.quiesce", r.executed_at,
                                 "index", index, /*virtual_clock=*/true);
@@ -146,7 +148,7 @@ void FaultController::kill_chip(std::size_t index) {
     ++r.migrations;
   }
   r.ok = true;
-  arm_loss_probe(index);
+  arm_loss_probe(index, before);
 }
 
 void FaultController::glitch_link(std::size_t index) {
@@ -197,10 +199,11 @@ void FaultController::heal_link(std::size_t index) {
   r.ok = true;
 }
 
-void FaultController::arm_loss_probe(std::size_t index) {
-  // Measure packets lost inside the reported recovery window: snapshot the
-  // machine-wide drop odometer now, read it again when the window closes.
-  const std::uint64_t before = dropped_now();
+void FaultController::arm_loss_probe(std::size_t index,
+                                     std::uint64_t before) {
+  // Measure packets lost from the fault instant to the end of the reported
+  // recovery window: read the machine-wide drop odometer again when the
+  // window closes.
   const TimeNs window_end =
       system_.now() + std::max<TimeNs>(records_[index].recovery_ns, 1);
   system_.simulator().at(window_end, [this, index, before, window_end] {

@@ -147,7 +147,9 @@ class FaultController {
   void kill_chip(std::size_t index);
   void glitch_link(std::size_t index);
   void heal_link(std::size_t index);
-  void arm_loss_probe(std::size_t index);
+  /// `before` is the drop odometer read before the victim was quiesced,
+  /// so the victim's discarded queues count as lost.
+  void arm_loss_probe(std::size_t index, std::uint64_t before);
   Sidecar* find_sidecar(ChipCoord chip, LinkDir dir);
   /// Machine-wide packet-loss odometer: fabric drops + per-core drops.
   std::uint64_t dropped_now() const;

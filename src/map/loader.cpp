@@ -45,25 +45,24 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
   }
 
   // 3. Build synaptic rows, one RowStore per slice (every slice has a core
-  //    of its own).  A population's slices are consecutive
-  //    neurons_per_core chunks, so a neuron's slice is one division away.
+  //    of its own).
   std::vector<std::shared_ptr<neural::RowStore>> stores(
       placement.slices.size());
   for (auto& store : stores) store = std::make_shared<neural::RowStore>();
-  auto slice_index = [&](neural::PopulationId pop, std::uint32_t neuron) {
-    return placement.by_population[pop][neuron / cfg_.neurons_per_core];
-  };
 
   for (const neural::Projection& proj : net.projections()) {
     const neural::Population& pre = net.population(proj.pre);
     const neural::Population& post = net.population(proj.post);
     for (std::uint32_t i = 0; i < pre.size; ++i) {
-      const Slice& ps = placement.slices[slice_index(proj.pre, i)];
+      const auto pre_slice = slice_of(placement, proj.pre, i);
+      if (!pre_slice.has_value()) continue;
+      const Slice& ps = placement.slices[*pre_slice];
       const RoutingKey key = ps.key_base + (i - ps.first_neuron);
 
       auto add_synapse = [&](std::uint32_t j, double w, double d_ms) {
-        const std::size_t qi = slice_index(proj.post, j);
-        const Slice& qs = placement.slices[qi];
+        const auto post_slice = slice_of(placement, proj.post, j);
+        if (!post_slice.has_value()) return;
+        const Slice& qs = placement.slices[*post_slice];
         neural::Synapse syn;
         syn.weight_raw = neural::Synapse::pack_weight(w);
         syn.inhibitory = proj.inhibitory;
@@ -73,7 +72,7 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
         if (delay > neural::kMaxDelayTicks) delay = neural::kMaxDelayTicks;
         syn.delay = delay;
         syn.target = static_cast<std::uint16_t>(j - qs.first_neuron);
-        neural::SynapticRow& row = stores[qi]->row_for(key);
+        neural::SynapticRow& row = stores[*post_slice]->row_for(key);
         row.synapses.push_back(syn);
         row.plastic = row.plastic || syn.plastic;
         ++report.total_synapses;

@@ -109,13 +109,16 @@ std::optional<std::size_t> slice_of(const PlacementResult& placement,
                                     neural::PopulationId pop,
                                     std::uint32_t neuron) {
   if (pop >= placement.by_population.size()) return std::nullopt;
-  for (const std::size_t si : placement.by_population[pop]) {
-    const Slice& s = placement.slices[si];
-    if (neuron >= s.first_neuron && neuron < s.first_neuron + s.num_neurons) {
-      return si;
-    }
-  }
-  return std::nullopt;
+  const std::vector<std::size_t>& owned = placement.by_population[pop];
+  if (owned.empty()) return std::nullopt;
+  // place() cuts a population into consecutive chunks of the first chunk's
+  // size (only the last may be shorter), so the owner is one division away.
+  const std::uint32_t chunk = placement.slices[owned.front()].num_neurons;
+  const std::size_t k = neuron / chunk;
+  if (k >= owned.size()) return std::nullopt;
+  const Slice& s = placement.slices[owned[k]];
+  if (neuron >= s.first_neuron + s.num_neurons) return std::nullopt;
+  return owned[k];
 }
 
 }  // namespace spinn::map

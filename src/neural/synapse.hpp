@@ -4,6 +4,8 @@
 // (§4, Fig. 4; §5.3).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -58,21 +60,27 @@ struct SynapticRow {
 };
 
 /// All rows resident on one core, found by the source neuron's AER key
-/// through the master population table of §5.3: the key's slice bits
-/// (key >> kNeuronKeyBits) select a dense index over that source slice's
-/// neurons, and the index points into a flat vector of rows.  Only
-/// row_for() grows the table; looking up any other key misses.
-/// (Physically the rows live in the node's shared SDRAM; the table keeps
-/// the functional content while chip::Sdram accounts the space.)
+/// through the master population table of §5.3: a sorted table of the
+/// source slices (key >> kNeuronKeyBits) that project to this core is
+/// binary-searched, the matching entry's dense per-neuron index points into
+/// a flat vector of rows.  Only row_for() grows the table; looking up any
+/// other key misses.  (Physically the rows live in the node's shared SDRAM;
+/// the table keeps the functional content while chip::Sdram accounts the
+/// space.)
 class RowStore {
  public:
   /// The row of `key`, created empty on first use.  The reference is
   /// invalidated by the next row_for().
   SynapticRow& row_for(RoutingKey key) {
     const RoutingKey slice = key >> kNeuronKeyBits;
+    const auto it = std::lower_bound(slices_.begin(), slices_.end(), slice);
+    const auto at_slice = static_cast<std::size_t>(it - slices_.begin());
+    if (it == slices_.end() || *it != slice) {
+      slices_.insert(it, slice);
+      index_.emplace(index_.begin() + static_cast<std::ptrdiff_t>(at_slice));
+    }
+    std::vector<std::uint32_t>& neurons = index_[at_slice];
     const RoutingKey neuron = key & ~kSliceKeyMask;
-    if (slice >= index_.size()) index_.resize(slice + 1);
-    std::vector<std::uint32_t>& neurons = index_[slice];
     if (neuron >= neurons.size()) neurons.resize(neuron + 1, kNoRow);
     std::uint32_t& at = neurons[neuron];
     if (at == kNoRow) {
@@ -95,6 +103,9 @@ class RowStore {
 
   std::size_t num_rows() const { return rows_.size(); }
 
+  /// Master population table entries: the source slices with a row here.
+  std::size_t num_slices() const { return slices_.size(); }
+
   std::uint64_t total_bytes() const {
     std::uint64_t total = 0;
     for (const SynapticRow& row : rows_) total += row.bytes();
@@ -107,13 +118,18 @@ class RowStore {
 
   std::uint32_t lookup(RoutingKey key) const {
     const RoutingKey slice = key >> kNeuronKeyBits;
-    if (slice >= index_.size()) return kNoRow;
-    const std::vector<std::uint32_t>& neurons = index_[slice];
+    const auto it = std::lower_bound(slices_.begin(), slices_.end(), slice);
+    if (it == slices_.end() || *it != slice) return kNoRow;
+    const std::vector<std::uint32_t>& neurons =
+        index_[static_cast<std::size_t>(it - slices_.begin())];
     const RoutingKey neuron = key & ~kSliceKeyMask;
     return neuron < neurons.size() ? neurons[neuron] : kNoRow;
   }
 
-  /// index_[slice][neuron] is the row of that source neuron, or kNoRow.
+  /// The source slices with rows here, ascending.
+  std::vector<RoutingKey> slices_;
+  /// index_[i][neuron] is the row of that neuron of source slice
+  /// slices_[i], or kNoRow.
   std::vector<std::vector<std::uint32_t>> index_;
   std::vector<SynapticRow> rows_;
 };

@@ -4,6 +4,7 @@
 // traffic.
 #include <gtest/gtest.h>
 
+#include "core/fault_controller.hpp"
 #include "core/system.hpp"
 #include "map/migration.hpp"
 
@@ -246,6 +247,54 @@ TEST(Migration, RepeatedMigrationsStayConsistent) {
   }
   const std::size_t spikes = rig.dst_spikes();
   EXPECT_GT(spikes, 0u);
+}
+
+TEST(Migration, KillFaultCountsTheVictimsUnhandledRowReadAsLost) {
+  // A silent source and an undriven target: the only traffic is the one
+  // spike the test delivers.
+  System sys(small_system());
+  neural::Network net;
+  const auto src = net.add_spike_source("src", {{}});
+  const auto dst = net.add_lif("dst", 32);
+  net.connect(src, dst, neural::Connector::all_to_all(),
+              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  map::LoadReport report = sys.load(net);
+  ASSERT_TRUE(report.ok);
+  sys.run(10 * kMillisecond);
+  const map::PlacementResult& placement = report.placement;
+  const RoutingKey key =
+      placement.slices[placement.by_population[src][0]].key_base;
+  const CoreId victim = placement.slices[placement.by_population[dst][0]].core;
+  chip::Core& core = sys.machine().chip_at(victim.chip).core(victim.core);
+  const std::uint64_t dma_events = core.stats().dma_events;
+
+  // The spike's handler fetches its row, and a timer tick taken in the same
+  // instant keeps the core busy while the row lands: the read is complete
+  // but unhandled when the kill arrives 1 us later.
+  FaultController faults(sys, net, report.placement, small_system().mapper,
+                         /*run_base=*/0, /*seed=*/1);
+  const TimeNs t = sys.now() + 500 * kMicrosecond;
+  sys.simulator().at(t, [&core, key] {
+    router::Packet p;
+    p.type = router::PacketType::Multicast;
+    p.key = key;
+    core.packet_interrupt(p);
+    core.timer_interrupt();
+  });
+  FaultAction kill;
+  kill.kind = FaultAction::Kind::KillCore;
+  kill.at = t + kMicrosecond;
+  kill.chip = victim.chip;
+  kill.core = victim.core;
+  faults.schedule(kill);
+  sys.run(10 * kMillisecond);
+
+  ASSERT_EQ(faults.records().size(), 1u);
+  const FaultRecord& r = faults.records()[0];
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.spikes_lost_final);
+  EXPECT_EQ(core.stats().dma_events, dma_events) << "the row was never handled";
+  EXPECT_EQ(r.spikes_lost, 1u);
 }
 
 }  // namespace

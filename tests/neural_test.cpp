@@ -248,6 +248,28 @@ TEST(RowStore, MasterTableLookupsMissWithoutGrowing) {
   EXPECT_EQ(store.total_bytes(), (4 + 8) + (4 + 4) + (4 + 12u));
 }
 
+TEST(RowStore, TableHoldsOnlyTheSourceSlicesThatProjectHere) {
+  RowStore store;
+  // One row from a high slice number takes one table entry, not one per
+  // slice below it.
+  const RoutingKey high = (RoutingKey{4095} << kNeuronKeyBits) + 63;
+  store.row_for(high).synapses.resize(1);
+  EXPECT_EQ(store.num_slices(), 1u);
+  // Slices arriving out of order, including the highest the key layout
+  // allows, each keep their rows.
+  const RoutingKey low = (RoutingKey{7} << kNeuronKeyBits) + 2;
+  const RoutingKey top = kSliceKeyMask;
+  store.row_for(top).synapses.resize(3);
+  store.row_for(low).synapses.resize(2);
+  EXPECT_EQ(store.num_slices(), 3u);
+  EXPECT_EQ(store.num_rows(), 3u);
+  EXPECT_EQ(store.find(high)->synapses.size(), 1u);
+  EXPECT_EQ(store.find(low)->synapses.size(), 2u);
+  EXPECT_EQ(store.find(top)->synapses.size(), 3u);
+  EXPECT_EQ(store.find(RoutingKey{100} << kNeuronKeyBits), nullptr);
+  EXPECT_EQ(store.num_slices(), 3u);
+}
+
 // ---- network builder ---------------------------------------------------------
 
 TEST(Network, BuilderAssignsIds) {
