@@ -9,45 +9,44 @@ Chip::Chip(sim::Simulator& sim, ChipCoord coord, const ChipConfig& config,
       cfg_(config),
       clock_(config.core_clock_hz, config.core_ipc,
              seed_source.normal(0.0, config.clock_drift_ppm_sigma)),
-      rng_(seed_source.next()) {
-  system_noc_ = std::make_unique<noc::SystemNoc>(sim_, cfg_.system_noc);
-  comms_noc_ = std::make_unique<noc::CommsNoc>(sim_, cfg_.comms_noc);
-  router_ = std::make_unique<router::Router>(sim_, coord_, cfg_.router);
-
+      rng_(seed_source.next()),
+      system_noc_(sim_, cfg_.system_noc),
+      comms_noc_(sim_, cfg_.comms_noc),
+      router_(sim_, coord_, cfg_.router) {
   // Comms NoC: cores inject -> router; router local route -> cores.
-  comms_noc_->set_router_sink([this](const router::Packet& p) {
-    router_->receive(p, std::nullopt);
+  comms_noc_.set_router_sink([this](const router::Packet& p) {
+    router_.receive(p, std::nullopt);
   });
-  comms_noc_->set_core_sink([this](CoreIndex c, const router::Packet& p) {
+  comms_noc_.set_core_sink([this](CoreIndex c, const router::Packet& p) {
     if (c < num_cores()) core(c).packet_interrupt(p);
   });
-  router_->set_local_sink([this](CoreIndex c, const router::Packet& p) {
-    comms_noc_->deliver(c, p);
+  router_.set_local_sink([this](CoreIndex c, const router::Packet& p) {
+    comms_noc_.deliver(c, p);
   });
-  router_->set_monitor_sink([this](const router::Packet& p) {
+  router_.set_monitor_sink([this](const router::Packet& p) {
     if (monitor_packet_handler_) monitor_packet_handler_(p);
   });
-  router_->set_monitor_notify([this](const router::RouterEvent& e) {
+  router_.set_monitor_notify([this](const router::RouterEvent& e) {
     if (monitor_event_handler_) monitor_event_handler_(e);
   });
 
   cores_.reserve(cfg_.num_cores);
   dmas_.reserve(cfg_.num_cores);
   for (CoreIndex i = 0; i < cfg_.num_cores; ++i) {
-    dmas_.push_back(std::make_unique<DmaController>(sim_, *system_noc_));
+    dmas_.push_back(std::make_unique<DmaController>(sim_, system_noc_));
     auto c = std::make_unique<Core>(sim_, CoreId{coord_, i}, clock_,
                                     *dmas_.back(), rng_.next());
-    c->set_mc_send([this](const router::Packet& p) { comms_noc_->inject(p); });
-    c->set_p2p_send([this](const router::Packet& p) { comms_noc_->inject(p); });
+    c->set_mc_send([this](const router::Packet& p) { comms_noc_.inject(p); });
+    c->set_p2p_send([this](const router::Packet& p) { comms_noc_.inject(p); });
     cores_.push_back(std::move(c));
   }
 }
 
 void Chip::set_actor(sim::ActorId actor) {
   actor_ = actor;
-  router_->set_actor(actor);
-  comms_noc_->set_actor(actor);
-  system_noc_->set_actor(actor);
+  router_.set_actor(actor);
+  comms_noc_.set_actor(actor);
+  system_noc_.set_actor(actor);
   for (auto& c : cores_) c->set_actor(actor);
 }
 

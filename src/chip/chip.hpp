@@ -60,12 +60,12 @@ class Chip {
   void set_actor(sim::ActorId actor);
   sim::ActorId actor() const { return actor_; }
 
-  router::Router& router() { return *router_; }
-  const router::Router& router() const { return *router_; }
-  noc::SystemNoc& system_noc() { return *system_noc_; }
-  const noc::SystemNoc& system_noc() const { return *system_noc_; }
-  noc::CommsNoc& comms_noc() { return *comms_noc_; }
-  const noc::CommsNoc& comms_noc() const { return *comms_noc_; }
+  router::Router& router() { return router_; }
+  const router::Router& router() const { return router_; }
+  noc::SystemNoc& system_noc() { return system_noc_; }
+  const noc::SystemNoc& system_noc() const { return system_noc_; }
+  noc::CommsNoc& comms_noc() { return comms_noc_; }
+  const noc::CommsNoc& comms_noc() const { return comms_noc_; }
   Sdram& sdram() { return sdram_; }
   SystemController& system_controller() { return sysctl_; }
 
@@ -112,9 +112,9 @@ class Chip {
   Sdram sdram_;
   Rng rng_;
 
-  std::unique_ptr<noc::SystemNoc> system_noc_;
-  std::unique_ptr<noc::CommsNoc> comms_noc_;
-  std::unique_ptr<router::Router> router_;
+  noc::SystemNoc system_noc_;
+  noc::CommsNoc comms_noc_;
+  router::Router router_;
   std::vector<std::unique_ptr<DmaController>> dmas_;
   std::vector<std::unique_ptr<Core>> cores_;
 

@@ -22,9 +22,9 @@ std::unique_ptr<CoreProgram> Core::take_program() {
   packet_queue_.clear();
   // A fetched row not yet processed is a lost spike too; a write-back
   // loses nothing.
-  stats_.packets_dropped += static_cast<std::uint64_t>(
-      std::count_if(dma_queue_.begin(), dma_queue_.end(),
-                    [](const DmaDone& d) { return !d.was_write; }));
+  for (std::size_t i = 0; i < dma_queue_.size(); ++i) {
+    if (!dma_queue_[i].was_write) ++stats_.packets_dropped;
+  }
   dma_queue_.clear();
   timer_pending_ = 0;
   return std::move(program_);
@@ -110,8 +110,7 @@ void Core::dispatch() {
 
   // Fig. 7 priority order: packet > DMA > timer.
   if (!packet_queue_.empty()) {
-    const router::Packet p = packet_queue_.front();
-    packet_queue_.pop_front();
+    const router::Packet p = packet_queue_.pop_front();
     ++stats_.packet_events;
     in_handler_ = true;
     const std::uint64_t instr = program_->on_packet(*this, p);
@@ -120,8 +119,7 @@ void Core::dispatch() {
     return;
   }
   if (!dma_queue_.empty()) {
-    const DmaDone d = dma_queue_.front();
-    dma_queue_.pop_front();
+    const DmaDone d = dma_queue_.pop_front();
     ++stats_.dma_events;
     in_handler_ = true;
     const std::uint64_t instr = program_->on_dma_done(*this, d);

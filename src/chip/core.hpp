@@ -14,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 
+#include "common/ring_fifo.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
@@ -171,9 +171,9 @@ class Core final : public CoreApi {
   CoreState state_ = CoreState::Off;
   bool in_handler_ = false;
   bool servicing_timer_ = false;  // current busy period is a timer handler
-  std::deque<router::Packet> packet_queue_;  // priority 1
-  std::deque<DmaDone> dma_queue_;            // priority 2
-  std::uint32_t timer_pending_ = 0;          // priority 3
+  RingFifo<router::Packet> packet_queue_;  // priority 1
+  RingFifo<DmaDone> dma_queue_;            // priority 2
+  std::uint32_t timer_pending_ = 0;        // priority 3
   std::uint32_t timer_ticks_seen_ = 0;
 
   Stats stats_;

@@ -59,7 +59,13 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
       const Slice& ps = placement.slices[*pre_slice];
       const RoutingKey key = ps.key_base + (i - ps.first_neuron);
 
-      auto add_synapse = [&](std::uint32_t j, double w, double d_ms) {
+      auto add_synapse = [&](std::uint32_t j) {
+        // Delay first, then weight, as named draws: C++ leaves the order in
+        // which a call's arguments are evaluated unspecified, so drawing
+        // both inside one argument list made the synapses depend on the
+        // compiler.
+        const double d_ms = proj.delay_ms.sample(rng);
+        const double w = proj.weight.sample(rng);
         const auto post_slice = slice_of(placement, proj.post, j);
         if (!post_slice.has_value()) return;
         const Slice& qs = placement.slices[*post_slice];
@@ -85,14 +91,12 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
                 !proj.connector.allow_self) {
               continue;
             }
-            add_synapse(j, proj.weight.sample(rng),
-                        proj.delay_ms.sample(rng));
+            add_synapse(j);
           }
           break;
         case neural::ConnectorKind::OneToOne:
           if (i < post.size) {
-            add_synapse(i, proj.weight.sample(rng),
-                        proj.delay_ms.sample(rng));
+            add_synapse(i);
           }
           break;
         case neural::ConnectorKind::FixedProbability:
@@ -102,8 +106,7 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
               continue;
             }
             if (rng.chance(proj.connector.probability)) {
-              add_synapse(j, proj.weight.sample(rng),
-                          proj.delay_ms.sample(rng));
+              add_synapse(j);
             }
           }
           break;

@@ -44,31 +44,35 @@ Machine::Machine(sim::ISimulationEngine* engine, sim::Simulator* sim,
 }
 
 void Machine::wire_links() {
+  far_chip_.resize(chips_.size() * kLinksPerChip);
   for (std::size_t i = 0; i < chips_.size(); ++i) {
-    const ChipCoord c = topo_.coord_of(i);
-    chip::Chip& source = *chips_[i];
     for (int l = 0; l < kLinksPerChip; ++l) {
       const auto d = static_cast<LinkDir>(l);
-      const ChipCoord nc = topo_.neighbour(c, d);
-      const std::size_t j = topo_.index(nc);
-      chip::Chip* target = chips_[j].get();
+      const std::size_t link = i * kLinksPerChip + l;
+      far_chip_[link] = topo_.index(topo_.neighbour(topo_.coord_of(i), d));
       // The port hands the packet over at wire departure; the machine owns
       // the flight so the delivery can be a cross-actor handoff executing
       // under the receiving chip (and, under the sharded engine, on the
       // receiving chip's shard) with flight_ns of lookahead still ahead.
-      source.router().port(d).set_sink(
-          [this, i, j, target, d](const router::Packet& p) {
-            ctx_[i]->handoff(
-                target->config().router.port.flight_ns, actor_of(j),
-                [this, j, target, d, p] {
-                  if (dead_[j]) return;  // dead chip swallows input
-                  target->router().receive(p, opposite(d));
-                },
-                sim::EventPriority::Fabric);
-          },
+      chips_[i]->router().port(d).set_sink(
+          [this, link](const router::Packet& p) { depart(link, p); },
           router::OutputPort::SinkTiming::Departure);
     }
   }
+}
+
+void Machine::depart(std::size_t link, const router::Packet& p) {
+  const std::size_t j = far_chip_[link];
+  ctx_[link / kLinksPerChip]->handoff(
+      chips_[j]->config().router.port.flight_ns, actor_of(j),
+      [this, link, p] { arrive(link, p); }, sim::EventPriority::Fabric);
+}
+
+void Machine::arrive(std::size_t link, const router::Packet& p) {
+  const std::size_t j = far_chip_[link];
+  if (dead_[j]) return;  // dead chip swallows input
+  const auto d = static_cast<LinkDir>(link % kLinksPerChip);
+  chips_[j]->router().receive(p, opposite(d));
 }
 
 void Machine::fail_link(ChipCoord c, LinkDir d, bool bidirectional) {

@@ -87,12 +87,19 @@ class Machine {
   Machine(sim::ISimulationEngine* engine, sim::Simulator* sim,
           const MachineConfig& config);
   void wire_links();
+  /// A packet leaves on inter-chip link `link` / lands at its far end.
+  void depart(std::size_t link, const router::Packet& p);
+  void arrive(std::size_t link, const router::Packet& p);
 
   Topology topo_;
   /// Per-chip scheduling context (all identical under serial construction).
   std::vector<sim::Simulator*> ctx_;
   sim::Simulator* root_ctx_ = nullptr;
   std::vector<std::unique_ptr<chip::Chip>> chips_;
+  /// Inter-chip link l leaves chip l / kLinksPerChip in direction
+  /// l % kLinksPerChip and drives chip far_chip_[l].  A port's sink
+  /// captures only `this` and l, which fits std::function's inline buffer.
+  std::vector<std::size_t> far_chip_;
   std::vector<bool> dead_;
   std::unique_ptr<HostLink> host_link_;
 };

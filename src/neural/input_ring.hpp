@@ -7,10 +7,10 @@
 // the slot belonging to the tick it is computing.  The paper notes this is
 // "one of the most expensive functions of the neuron models in terms of the
 // cost of data storage held locally" — the ring is 16 x N accumulators in
-// DTCM.
+// DTCM, held here as one flat buffer (slot s is accumulators [s*N, s*N+N)).
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,9 +23,9 @@ class InputRing {
   static constexpr std::uint32_t kSlots = 16;
 
   explicit InputRing(std::uint32_t neurons)
-      : neurons_(neurons) {
-    for (auto& slot : slots_) slot.assign(neurons, Accum{});
-  }
+      : neurons_(neurons),
+        slots_(static_cast<std::size_t>(kSlots) * neurons),
+        drained_(neurons) {}
 
   std::uint32_t neurons() const { return neurons_; }
 
@@ -36,18 +36,18 @@ class InputRing {
     std::uint8_t d = delay;
     if (d < 1) d = 1;
     if (d > 15) d = 15;
-    auto& slot = slots_[(current_tick + d) % kSlots];
-    if (neuron < slot.size()) {
-      slot[neuron] = Accum::saturating_add(slot[neuron], weight);
+    if (neuron < neurons_) {
+      Accum& acc = slot((current_tick + d) % kSlots)[neuron];
+      acc = Accum::saturating_add(acc, weight);
     }
   }
 
   /// Hand the accumulated input for `tick` to the caller and zero the slot
   /// (it becomes tick+16's slot).
   const std::vector<Accum>& drain(std::uint32_t tick) {
-    auto& slot = slots_[tick % kSlots];
-    drained_.swap(slot);
-    slot.assign(neurons_, Accum{});
+    Accum* s = slot(tick % kSlots);
+    std::copy(s, s + neurons_, drained_.begin());
+    std::fill(s, s + neurons_, Accum{});
     return drained_;
   }
 
@@ -57,8 +57,12 @@ class InputRing {
   }
 
  private:
+  Accum* slot(std::uint32_t s) {
+    return slots_.data() + static_cast<std::size_t>(s) * neurons_;
+  }
+
   std::uint32_t neurons_;
-  std::array<std::vector<Accum>, kSlots> slots_;
+  std::vector<Accum> slots_;
   std::vector<Accum> drained_;
 };
 

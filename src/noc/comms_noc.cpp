@@ -15,8 +15,7 @@ void CommsNoc::inject(const router::Packet& p) {
 void CommsNoc::start_next() {
   if (inject_queue_.empty()) return;
   busy_ = true;
-  const router::Packet p = inject_queue_.front();
-  inject_queue_.pop_front();
+  const router::Packet p = inject_queue_.pop_front();
   const double sec = static_cast<double>(p.bits()) / cfg_.bits_per_sec;
   const auto serialize = static_cast<TimeNs>(std::ceil(sec * 1e9));
   sim_.after_as(serialize, actor_, [this, p] {

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
+#include "common/ring_fifo.hpp"
 #include "common/units.hpp"
 #include "router/packet.hpp"
 #include "sim/simulator.hpp"
@@ -30,6 +30,10 @@ class CommsNoc {
   using CoreSink = std::function<void(CoreIndex, const router::Packet&)>;
 
   CommsNoc(sim::Simulator& sim, const CommsNocConfig& config);
+
+  /// Scheduled events hold `this`: a NoC never moves.
+  CommsNoc(const CommsNoc&) = delete;
+  CommsNoc& operator=(const CommsNoc&) = delete;
 
   void set_router_sink(RouterSink sink) { router_sink_ = std::move(sink); }
   void set_core_sink(CoreSink sink) { core_sink_ = std::move(sink); }
@@ -53,7 +57,7 @@ class CommsNoc {
   CommsNocConfig cfg_;
   RouterSink router_sink_;
   CoreSink core_sink_;
-  std::deque<router::Packet> inject_queue_;
+  RingFifo<router::Packet> inject_queue_;
   bool busy_ = false;
   std::uint64_t injected_ = 0;
 };

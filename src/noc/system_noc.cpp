@@ -16,8 +16,7 @@ void SystemNoc::transfer(std::uint32_t bytes, Completion done) {
 void SystemNoc::start_next() {
   if (queue_.empty()) return;
   busy_ = true;
-  Request req = std::move(queue_.front());
-  queue_.pop_front();
+  Request req = queue_.pop_front();
   queue_wait_.add(static_cast<double>(sim_.now() - req.enqueued_at));
 
   const double burst_sec =

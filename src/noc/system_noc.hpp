@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "common/ring_fifo.hpp"
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -28,6 +28,10 @@ class SystemNoc {
   using Completion = sim::EventAction;
 
   SystemNoc(sim::Simulator& sim, const SystemNocConfig& config);
+
+  /// Scheduled events and DMA controllers hold `this`: a NoC never moves.
+  SystemNoc(const SystemNoc&) = delete;
+  SystemNoc& operator=(const SystemNoc&) = delete;
 
   /// Queue a transfer of `bytes`; `done` fires when the last beat lands.
   void transfer(std::uint32_t bytes, Completion done);
@@ -54,7 +58,7 @@ class SystemNoc {
   sim::Simulator& sim_;
   sim::ActorId actor_ = sim::kRootActor;
   SystemNocConfig cfg_;
-  std::deque<Request> queue_;
+  RingFifo<Request> queue_;
   /// Completion of the transfer being serviced (valid while busy_), so the
   /// service event captures only `this`.
   Completion in_service_;

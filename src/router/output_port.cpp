@@ -25,8 +25,7 @@ void OutputPort::repair() {
 
 void OutputPort::start_service() {
   busy_ = true;
-  in_flight_ = fifo_.front();
-  fifo_.pop_front();
+  in_flight_ = fifo_.pop_front();
   const double sec = static_cast<double>(in_flight_.bits()) / cfg_.bits_per_sec;
   const auto serialize_ns = static_cast<TimeNs>(std::ceil(sec * 1e9));
   sim_.after_as(serialize_ns, actor_, [this] { finish_service(); },

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
+#include "common/ring_fifo.hpp"
 #include "common/units.hpp"
 #include "router/packet.hpp"
 #include "sim/simulator.hpp"
@@ -43,6 +43,10 @@ class OutputPort {
   };
 
   OutputPort(sim::Simulator& sim, const OutputPortConfig& config);
+
+  /// Scheduled events hold `this`: a port never moves.
+  OutputPort(const OutputPort&) = delete;
+  OutputPort& operator=(const OutputPort&) = delete;
 
   void set_sink(Sink sink, SinkTiming timing = SinkTiming::Arrival) {
     sink_ = std::move(sink);
@@ -78,7 +82,7 @@ class OutputPort {
   sim::ActorId actor_ = sim::kRootActor;
   Sink sink_;
   SinkTiming sink_timing_ = SinkTiming::Arrival;
-  std::deque<Packet> fifo_;
+  RingFifo<Packet> fifo_;
   bool busy_ = false;     // a packet is currently serializing
   Packet in_flight_{};
   bool failed_ = false;

@@ -1,18 +1,32 @@
 #include "router/router.hpp"
 
+#include <utility>
+
 namespace spinn::router {
+
+namespace {
+
+/// One port per link, built in place (a port cannot move).
+template <std::size_t... L>
+std::array<OutputPort, kLinksPerChip> make_ports(
+    sim::Simulator& sim, const OutputPortConfig& config,
+    std::index_sequence<L...>) {
+  return {((void)L, OutputPort(sim, config))...};
+}
+
+}  // namespace
 
 Router::Router(sim::Simulator& sim, ChipCoord coord,
                const RouterConfig& config)
-    : sim_(sim), coord_(coord), cfg_(config) {
-  for (auto& p : ports_) {
-    p = std::make_unique<OutputPort>(sim_, cfg_.port);
-  }
-}
+    : sim_(sim),
+      coord_(coord),
+      cfg_(config),
+      ports_(make_ports(sim, cfg_.port,
+                        std::make_index_sequence<kLinksPerChip>{})) {}
 
 void Router::set_actor(sim::ActorId actor) {
   actor_ = actor;
-  for (auto& p : ports_) p->set_actor(actor);
+  for (auto& p : ports_) p.set_actor(actor);
 }
 
 void Router::receive(Packet p, std::optional<LinkDir> in) {

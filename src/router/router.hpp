@@ -15,7 +15,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "common/types.hpp"
@@ -76,6 +75,10 @@ class Router {
 
   Router(sim::Simulator& sim, ChipCoord coord, const RouterConfig& config);
 
+  /// Scheduled events hold `this`: a router never moves.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
+
   ChipCoord coord() const { return coord_; }
 
   MulticastTable& mc_table() { return mc_table_; }
@@ -83,9 +86,9 @@ class Router {
   P2pTable& p2p_table() { return p2p_table_; }
   const P2pTable& p2p_table() const { return p2p_table_; }
 
-  OutputPort& port(LinkDir d) { return *ports_[static_cast<int>(d)]; }
+  OutputPort& port(LinkDir d) { return ports_[static_cast<int>(d)]; }
   const OutputPort& port(LinkDir d) const {
-    return *ports_[static_cast<int>(d)];
+    return ports_[static_cast<int>(d)];
   }
 
   /// Ordering identity of the owning chip's event tree (set by the chip;
@@ -128,7 +131,7 @@ class Router {
   RouterConfig cfg_;
   MulticastTable mc_table_;
   P2pTable p2p_table_;
-  std::array<std::unique_ptr<OutputPort>, kLinksPerChip> ports_;
+  std::array<OutputPort, kLinksPerChip> ports_;
   LocalSink local_sink_;
   MonitorSink monitor_sink_;
   MonitorNotify monitor_notify_;

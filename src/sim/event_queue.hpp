@@ -43,9 +43,9 @@ enum class EventPriority : std::uint8_t {
 /// to compile at its schedule site; there is no heap fallback.
 class EventAction {
  public:
-  /// Inline capture bytes: the largest capture in the tree is the
-  /// link-delivery lambda of mesh/machine.cpp (three words, a link
-  /// direction and a 32-byte router::Packet).
+  /// Inline capture bytes: room for a `this` pointer, two more words and
+  /// a 32-byte router::Packet, the shape of the machine model's
+  /// packet-carrying events.
   static constexpr std::size_t kCapacity = 64;
 
   EventAction() noexcept = default;

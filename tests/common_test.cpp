@@ -1,12 +1,15 @@
-// Unit tests for the common substrate: strong types, deterministic RNG and
-// S16.15 fixed-point arithmetic.
+// Unit tests for the common substrate: strong types, deterministic RNG,
+// S16.15 fixed-point arithmetic and the ring-buffer FIFO.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/fixed_point.hpp"
+#include "common/ring_fifo.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -226,6 +229,106 @@ TEST_P(AccumAssocTest, MultiplicationNearAssociative) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AccumAssocTest, ::testing::Values(1, 2, 3, 4));
+
+// ---- RingFifo --------------------------------------------------------------
+
+std::vector<int> drain_all(RingFifo<int>& q) {
+  std::vector<int> out;
+  while (!q.empty()) out.push_back(q.pop_front());
+  return out;
+}
+
+TEST(RingFifo, TakesNoStorageUntilFirstPushAndKeepsItWhenDrained) {
+  RingFifo<int> q;
+  EXPECT_EQ(q.capacity(), 0u);
+  q.push_back(1);
+  const std::size_t cap = q.capacity();
+  EXPECT_GT(cap, 0u);
+  EXPECT_EQ(q.pop_front(), 1);
+  q.clear();
+  EXPECT_EQ(q.capacity(), cap);
+}
+
+TEST(RingFifo, KeepsFifoOrderAcrossWrapAround) {
+  RingFifo<int> q;
+  q.push_back(0);
+  const std::size_t cap = q.capacity();
+  // Walk the head once round the ring with the queue never full, so every
+  // push past the end wraps to slot 0.
+  int next_in = 1;
+  int next_out = 0;
+  for (std::size_t i = 0; i < 3 * cap; ++i) {
+    q.push_back(next_in++);
+    EXPECT_EQ(q.pop_front(), next_out++);
+  }
+  EXPECT_EQ(q.capacity(), cap);
+  EXPECT_EQ(drain_all(q), std::vector<int>{next_out});
+}
+
+TEST(RingFifo, PushFrontAfterTheHeadWrapsToSlotZero) {
+  // The output port's stalled-packet path: pop the packet to send, then
+  // put it back at the head when the link has failed.
+  RingFifo<int> q;
+  q.push_back(0);
+  const std::size_t cap = q.capacity();
+  for (std::size_t i = 1; i < cap; ++i) q.push_back(static_cast<int>(i));
+  drain_all(q);  // the head is back at slot 0
+  q.push_back(1);
+  q.push_back(2);
+  q.push_front(0);  // the head wraps backwards to the last slot
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q[0], 0);
+  const int in_flight = q.pop_front();
+  q.push_front(in_flight);
+  EXPECT_EQ(drain_all(q), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(q.capacity(), cap);
+}
+
+TEST(RingFifo, GrowthWhileWrappedKeepsOrder) {
+  RingFifo<int> q;
+  q.push_back(0);
+  const std::size_t cap = q.capacity();
+  q.push_back(1);
+  EXPECT_EQ(q.pop_front(), 0);
+  EXPECT_EQ(q.pop_front(), 1);
+  // Fill from slot 2 round past the end, then overflow.
+  std::vector<int> expect;
+  for (int v = 10; v < 10 + static_cast<int>(cap) + 3; ++v) {
+    q.push_back(v);
+    expect.push_back(v);
+  }
+  q.push_front(9);
+  expect.insert(expect.begin(), 9);
+  EXPECT_EQ(q.capacity(), 2 * cap);
+  for (std::size_t i = 0; i < expect.size(); ++i) EXPECT_EQ(q[i], expect[i]);
+  EXPECT_EQ(drain_all(q), expect);
+}
+
+TEST(RingFifo, PopAndClearDestroyTheElement) {
+  int released = 0;
+  struct CountingDelete {
+    int* released;
+    void operator()(int* p) const {
+      ++*released;
+      delete p;
+    }
+  };
+  using Owned = std::unique_ptr<int, CountingDelete>;
+  RingFifo<Owned> q;
+  for (int v = 0; v < 3; ++v) {
+    q.push_back(Owned(new int(v), CountingDelete{&released}));
+  }
+  EXPECT_EQ(*q.pop_front(), 0);
+  EXPECT_EQ(released, 1);
+  q.clear();
+  EXPECT_EQ(released, 3);
+  EXPECT_TRUE(q.empty());
+  {
+    RingFifo<Owned> dropped;
+    dropped.push_back(Owned(new int(3), CountingDelete{&released}));
+  }
+  EXPECT_EQ(released, 4);
+}
 
 }  // namespace
 }  // namespace spinn

@@ -6,6 +6,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "core/system.hpp"
 #include "map/loader.hpp"
 #include "map/placement.hpp"
 #include "map/routing_gen.hpp"
@@ -391,6 +392,51 @@ TEST(Loader, FixedProbabilityDensityApproximatelyRight) {
   const double expected = 200.0 * 200.0 * 0.1;
   EXPECT_NEAR(static_cast<double>(report.total_synapses), expected,
               expected * 0.15);
+}
+
+TEST(Loader, DrawsEachSynapseDelayThenWeight) {
+  // Both values are ranges, so each synapse takes two draws.  Their order
+  // is fixed by the loader, not left to the compiler's argument evaluation
+  // order: replay the load's stream and compare every synapse.
+  SystemConfig cfg;
+  cfg.machine = machine_config(2, 2, 4);
+  cfg.machine.seed = 11;
+  System sys(cfg);
+  neural::Network net;
+  const auto a = net.add_lif("a", 4);
+  const auto b = net.add_lif("b", 5);
+  const auto weight = neural::ValueDist::uniform(1.0, 4.0);
+  const auto delay = neural::ValueDist::uniform(1.0, 8.0);
+  net.connect(a, b, neural::Connector::all_to_all(), weight, delay);
+  const LoadReport report = sys.load(net);
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_EQ(report.total_synapses, 20u);
+
+  const PlacementResult& placement = report.placement;
+  const Slice& pre = placement.slices[placement.by_population[a][0]];
+  const Slice& post = placement.slices[placement.by_population[b][0]];
+  neural::NeuronApp* post_app = nullptr;
+  for (auto* app : sys.apps()) {
+    if (app->config().key_base == post.key_base) post_app = app;
+  }
+  ASSERT_NE(post_app, nullptr);
+
+  Rng replay(cfg.machine.seed ^ 0x10adD00Dull);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const neural::SynapticRow* row = post_app->rows().find(pre.key_base + i);
+    ASSERT_NE(row, nullptr);
+    ASSERT_EQ(row->synapses.size(), 5u);
+    for (std::uint32_t j = 0; j < 5; ++j) {
+      const double d_ms = delay.sample(replay);
+      const double w = weight.sample(replay);
+      const neural::Synapse& syn = row->synapses[j];
+      EXPECT_EQ(syn.target, j);
+      EXPECT_EQ(syn.delay, static_cast<std::uint8_t>(d_ms + 0.5))
+          << "i=" << i << " j=" << j;
+      EXPECT_EQ(syn.weight_raw, neural::Synapse::pack_weight(w))
+          << "i=" << i << " j=" << j;
+    }
+  }
 }
 
 }  // namespace
