@@ -23,8 +23,8 @@
 // silently.  Heal stops the injection and repairs the machine link.
 //
 // Thread model: none of its own.  The controller is owned by a
-// server::Session and only touched under the session lock — from service
-// slices (schedule/poll) and from root events executing inside
+// server::Session and only touched under the session's slice lock — from
+// service slices (schedule/poll) and from root events executing inside
 // System::run, which the servicing worker drives under that same lock.
 // Entry points must not block: they run inside the engine's event loop
 // (tools/lint_invariants.py enforces the same no-blocking discipline as

@@ -42,25 +42,42 @@ class SpikeRecorder {
     drained_total_ = 0;
   }
 
-  /// Incremental retrieval: the events recorded since the previous drain(),
+  /// Incremental retrieval: the events recorded since the previous drain,
   /// in recording order — the polling primitive a server session uses to
   /// stream spikes to a client mid-run.  By default the full log stays
   /// intact (events() still returns everything).
   std::vector<Event> drain() {
-    std::vector<Event> out(events_.begin() +
-                               static_cast<std::ptrdiff_t>(drain_pos_),
-                           events_.end());
-    drained_total_ += out.size();
+    std::vector<Event> out;
+    drain_into(out);
+    return out;
+  }
+
+  /// drain() into a caller's buffer: appends the new events to `out`, and
+  /// does nothing when there are none.  In streaming mode an empty `out`
+  /// takes the log's buffer itself instead of a copy, and the log reserves
+  /// as much again for the next events.
+  void drain_into(std::vector<Event>& out) {
+    if (events_.size() == drain_pos_) return;
+    drained_total_ += events_.size() - drain_pos_;
+    if (!retain_drained_ && drain_pos_ == 0 && out.empty()) {
+      const std::size_t handed = events_.size();
+      out.swap(events_);
+      events_.clear();
+      events_.reserve(handed);
+      return;
+    }
+    out.insert(out.end(),
+               events_.begin() + static_cast<std::ptrdiff_t>(drain_pos_),
+               events_.end());
     if (retain_drained_) {
       drain_pos_ = events_.size();
     } else {
       events_.clear();
       drain_pos_ = 0;
     }
-    return out;
   }
 
-  /// Number of events already handed out by drain().
+  /// Number of events already handed out by drain() or drain_into().
   std::size_t drained() const { return drained_total_; }
 
   /// Retention policy for drained events.  `false` = streaming mode:

@@ -245,9 +245,10 @@ bool SessionServer::close(SessionId id) {
     resident_cost_ -= it->second.cost;
     sessions_.erase(it);
   }
-  SessionStatus st = s->status();
+  // Tombstone from the status after teardown: where the session stopped,
+  // at most one slice past what a client saw before the close.
   const bool first = s->close(false);
-  st.state = SessionState::Closed;
+  const SessionStatus st = s->status();
   {
     MutexLock lk(&mu_);
     remember_locked(st);

@@ -52,7 +52,7 @@ Session::~Session() { close(false); }
 
 bool Session::request_run(TimeNs duration) {
   if (duration < 0) return false;
-  MutexLock lk(&mu_);
+  MutexLock lk(&ctl_);
   if (state_ == SessionState::Closed || state_ == SessionState::Failed) {
     return false;
   }
@@ -60,16 +60,17 @@ bool Session::request_run(TimeNs duration) {
   return true;
 }
 
-void Session::build_locked() {
+std::string Session::build_locked() {
   const std::int64_t t0 = WallClock::now_ns();
-  build_impl_locked();
+  std::string error = build_impl_locked();
   const std::int64_t dur = WallClock::now_ns() - t0;
   build_hist().observe(dur);
   obs::Tracer::global().complete("session", "session.build", t0, dur, "id",
                                  id_);
+  return error;
 }
 
-void Session::build_impl_locked() {
+std::string Session::build_impl_locked() {
   try {
     const SystemConfig sys_cfg = system_config(spec_);
     lease_ = pool_.acquire(sys_cfg.engine);
@@ -82,12 +83,10 @@ void Session::build_impl_locked() {
     net_ = std::make_unique<neural::Network>(build_network(spec_));
     load_report_ = system_->load(*net_);
     if (!load_report_.ok) {
-      error_ = load_report_.error;
-      state_ = SessionState::Failed;
       system_.reset();
       lease_.release();
       net_.reset();
-      return;
+      return load_report_.error;
     }
     // Streaming mode: drained spikes are released, so a session's memory is
     // bounded by its drain interval rather than its total run length.
@@ -96,54 +95,42 @@ void Session::build_impl_locked() {
     faults_ = std::make_unique<FaultController>(
         *system_, *net_, load_report_.placement, sys_cfg.mapper, run_base_,
         spec_.seed);
-    state_ = SessionState::Ready;
+    return {};
   } catch (const std::exception& e) {
-    error_ = e.what();
-    state_ = SessionState::Failed;
     system_.reset();
     lease_.release();
     faults_.reset();
     net_.reset();
+    return e.what();
   }
 }
 
 bool Session::service(TimeNs slice) {
-  // Idle callbacks fire after the lock is released: they may re-enter the
-  // scheduler or write to a transport's wakeup pipe.
+  // Idle callbacks fire after both locks are released: they may re-enter
+  // the scheduler or write to a transport's wakeup pipe.
   std::vector<std::function<void()>> fire;
   bool more = false;
   {
     MutexLock lk(&mu_);
-    if (state_ == SessionState::Pending) build_locked();
-    if ((state_ == SessionState::Ready || state_ == SessionState::Running) &&
-        system_) {
-      // Queued faults become root-actor simulation events before any more
-      // biological time runs: the fault timeline is part of the run, not a
-      // side channel, which is what keeps serial, sharded and wire-driven
-      // executions bit-identical under chaos.
-      flush_faults_locked();
-      if (system_->now() < goal_locked()) {
-        state_ = SessionState::Running;
-        const TimeNs step = std::min(slice, goal_locked() - system_->now());
-        const std::int64_t t0 = WallClock::now_ns();
-        try {
-          system_->run(step);
-        } catch (const std::exception& e) {
-          error_ = e.what();
-          state_ = SessionState::Failed;
-        }
-        obs::Tracer::global().complete("session", "session.slice", t0,
-                                       WallClock::now_ns() - t0, "id", id_);
-      }
-      if (!ttfs_observed_ && system_->spikes().count() + drained_total_ > 0) {
-        ttfs_observed_ = true;
-        const std::int64_t now = WallClock::now_ns();
-        ttfs_hist().observe(now - opened_wall_ns_);
-        obs::Tracer::global().instant("session", "session.ttfs", now, "id",
-                                      id_);
-      }
-      poll_faults_locked();
+    bool build = false;
+    {
+      MutexLock ctl(&ctl_);
+      if (state_ == SessionState::Closed) return false;
+      build = state_ == SessionState::Pending;
     }
+    const std::string build_error = build ? build_locked() : std::string();
+    TimeNs step = 0;
+    std::vector<FaultAction> faults;
+    bool live = false;
+    {
+      MutexLock ctl(&ctl_);
+      if (build) publish_locked(build_error);
+      live = start_slice_locked(slice, &step, &faults);
+    }
+    const std::string failure =
+        live ? run_slice_locked(faults, step) : std::string();
+    MutexLock ctl(&ctl_);
+    if (live) publish_locked(failure);
     more = work_pending_locked();
     if (!more) {
       if (state_ == SessionState::Running) state_ = SessionState::Ready;
@@ -155,6 +142,72 @@ bool Session::service(TimeNs slice) {
   return more;
 }
 
+bool Session::start_slice_locked(TimeNs slice, TimeNs* step,
+                                 std::vector<FaultAction>* faults) {
+  if (state_ != SessionState::Ready && state_ != SessionState::Running) {
+    return false;
+  }
+  // Queued faults become root-actor simulation events before any more
+  // biological time runs: the fault timeline is part of the run, not a
+  // side channel, which is what keeps serial, sharded and wire-driven
+  // executions bit-identical under chaos.  Until the slice publishes the
+  // controller's totals, status() counts them here.
+  faults->swap(pending_faults_);
+  progress_.faults.scheduled += faults->size();
+  const TimeNs goal = run_base_ + requested_;
+  if (system_->now() < goal) {
+    state_ = SessionState::Running;
+    *step = std::min(slice, goal - system_->now());
+  }
+  return true;
+}
+
+std::string Session::run_slice_locked(const std::vector<FaultAction>& faults,
+                                      TimeNs step) {
+  for (const FaultAction& action : faults) faults_->schedule(action);
+  std::string failure;
+  if (step > 0) {
+    const std::int64_t t0 = WallClock::now_ns();
+    try {
+      system_->run(step);
+    } catch (const std::exception& e) {
+      failure = e.what();
+    }
+    obs::Tracer::global().complete("session", "session.slice", t0,
+                                   WallClock::now_ns() - t0, "id", id_);
+  }
+  if (!ttfs_observed_ && system_->spikes().count() > 0) {
+    ttfs_observed_ = true;
+    const std::int64_t now = WallClock::now_ns();
+    ttfs_hist().observe(now - opened_wall_ns_);
+    obs::Tracer::global().instant("session", "session.ttfs", now, "id", id_);
+  }
+  // A failed migration or a glitch-link deadlock-watchdog expiry is a
+  // session-fatal event with a quantified reason — never a silent stall.
+  if (failure.empty()) faults_->take_failure(&failure);
+  return failure;
+}
+
+void Session::publish_locked(const std::string& failure) {
+  if (state_ != SessionState::Closed) {
+    if (!failure.empty()) {
+      error_ = failure;
+      state_ = SessionState::Failed;
+    } else if (state_ == SessionState::Pending) {
+      state_ = SessionState::Ready;
+    }
+  }
+  progress_.chips_alive = boot_report_.chips_alive;
+  progress_.load_ok = load_report_.ok && system_ != nullptr;
+  if (!system_) return;
+  neural::SpikeRecorder& spikes = system_->spikes();
+  // A closed session's spikes are never drained: leave them to teardown.
+  if (state_ != SessionState::Closed) spikes.drain_into(published_);
+  progress_.bio_now = std::max<TimeNs>(system_->now() - run_base_, 0);
+  progress_.spikes_recorded = spikes.count();
+  if (faults_) progress_.faults = faults_->totals();
+}
+
 bool Session::work_pending_locked() const {
   switch (state_) {
     case SessionState::Pending: return true;
@@ -164,8 +217,7 @@ bool Session::work_pending_locked() const {
     case SessionState::Running:
       // Queued fault actions need a service slice to enter the simulation
       // timeline even when no biological time is owed.
-      return system_ &&
-             (system_->now() < goal_locked() || !pending_faults_.empty());
+      return progress_.bio_now < requested_ || !pending_faults_.empty();
   }
   return false;
 }
@@ -188,7 +240,7 @@ bool Session::schedule_fault(const FaultAction& action, std::string* error) {
                 " outside the chip's " +
                 std::to_string(spec_.cores_per_chip) + " cores");
   }
-  MutexLock lk(&mu_);
+  MutexLock lk(&ctl_);
   if (state_ == SessionState::Closed || state_ == SessionState::Failed) {
     return fail("session is " + std::string(to_string(state_)));
   }
@@ -196,43 +248,21 @@ bool Session::schedule_fault(const FaultAction& action, std::string* error) {
   return true;
 }
 
-void Session::flush_faults_locked() {
-  if (!faults_ || pending_faults_.empty()) return;
-  for (const FaultAction& action : pending_faults_) {
-    faults_->schedule(action);
-  }
-  pending_faults_.clear();
-}
-
-void Session::poll_faults_locked() {
-  if (!faults_ || state_ == SessionState::Failed ||
-      state_ == SessionState::Closed) {
-    return;
-  }
-  std::string reason;
-  if (faults_->take_failure(&reason)) {
-    // A failed migration or a glitch-link deadlock-watchdog expiry is a
-    // session-fatal event with a quantified reason — never a silent stall.
-    error_ = reason;
-    state_ = SessionState::Failed;
-  }
-}
-
 bool Session::has_work() const {
-  MutexLock lk(&mu_);
+  MutexLock lk(&ctl_);
   return work_pending_locked();
 }
 
 void Session::wait_idle() {
   // Explicit predicate loop: the analysis can't see into a predicate
-  // lambda, and work_pending_locked() requires mu_.
-  MutexLock lk(&mu_);
+  // lambda, and work_pending_locked() requires ctl_.
+  MutexLock lk(&ctl_);
   while (work_pending_locked()) idle_cv_.wait(lk);
 }
 
 void Session::notify_idle(std::function<void()> fn) {
   {
-    MutexLock lk(&mu_);
+    MutexLock lk(&ctl_);
     if (work_pending_locked()) {
       idle_callbacks_.push_back(std::move(fn));
       return;
@@ -242,68 +272,72 @@ void Session::notify_idle(std::function<void()> fn) {
 }
 
 std::vector<neural::SpikeRecorder::Event> Session::drain() {
-  MutexLock lk(&mu_);
-  if (!system_) return {};
-  auto out = system_->spikes().drain();
-  drained_total_ += out.size();
+  std::vector<neural::SpikeRecorder::Event> out;
+  {
+    MutexLock lk(&ctl_);
+    // Nothing to drain before the build, after a failed one, or after
+    // teardown.
+    if (!progress_.load_ok || state_ == SessionState::Closed) return out;
+    out.swap(published_);
+    drained_total_ += out.size();
+  }
   obs::Tracer::global().instant("session", "session.drain",
                                 WallClock::now_ns(), "spikes", out.size());
   return out;
 }
 
 SessionStatus Session::status() const {
-  MutexLock lk(&mu_);
+  MutexLock lk(&ctl_);
   SessionStatus st;
   st.id = id_;
   st.state = state_;
   st.evicted = evicted_;
-  st.bio_now = system_ ? std::max<TimeNs>(system_->now() - run_base_, 0) : 0;
+  st.bio_now = progress_.bio_now;
   st.bio_target = requested_;
-  st.spikes_recorded = system_ ? system_->spikes().count() : drained_total_;
+  st.spikes_recorded = progress_.spikes_recorded;
   st.spikes_drained = drained_total_;
-  st.chips_alive = boot_report_.chips_alive;
-  st.load_ok = load_report_.ok && system_ != nullptr;
+  st.chips_alive = progress_.chips_alive;
+  st.load_ok = progress_.load_ok;
   st.error = error_;
-  if (faults_) {
-    const FaultTotals ft = faults_->totals();
-    st.faults_scheduled = ft.scheduled + pending_faults_.size();
-    st.faults_executed = ft.executed;
-    st.migrations = ft.migrations;
-    st.routers_rewritten = ft.routers_rewritten;
-    st.recovery_ns = ft.recovery_ns;
-    st.spikes_lost = ft.spikes_lost;
-  } else {
-    st.faults_scheduled = pending_faults_.size();
-  }
+  const FaultTotals& ft = progress_.faults;
+  st.faults_scheduled = ft.scheduled + pending_faults_.size();
+  st.faults_executed = ft.executed;
+  st.migrations = ft.migrations;
+  st.routers_rewritten = ft.routers_rewritten;
+  st.recovery_ns = ft.recovery_ns;
+  st.spikes_lost = ft.spikes_lost;
   return st;
 }
 
 bool Session::close(bool evicted) {
   std::vector<std::function<void()>> fire;
-  bool first = false;
   {
-    MutexLock lk(&mu_);
-    if (state_ != SessionState::Closed) {
-      first = true;
-      state_ = SessionState::Closed;
-      evicted_ = evicted;
-      // Destroy the machine before the engine lease goes back: the pool's
-      // reset drops any still-queued event closures capturing machine state.
-      // The fault controller and the retained network outlive the lease
-      // release — queued fault/glitch closures point into them and are only
-      // dropped by the pool's engine reset.
-      system_.reset();
-      lease_.release();
-      faults_.reset();
-      net_.reset();
-      idle_cv_.notify_all();
-      fire.swap(idle_callbacks_);
-      obs::Tracer::global().instant("session", "session.close",
-                                    WallClock::now_ns(), "id", id_);
-    }
+    MutexLock lk(&ctl_);
+    if (state_ == SessionState::Closed) return false;
+    // From here on service() starts no slice, and drain() returns nothing.
+    state_ = SessionState::Closed;
+    evicted_ = evicted;
+    published_ = std::vector<neural::SpikeRecorder::Event>();
+    idle_cv_.notify_all();
+    fire.swap(idle_callbacks_);
   }
+  {
+    // Waits for at most the slice in flight.  Destroy the machine before
+    // the engine lease goes back: the pool's reset drops any still-queued
+    // event closures capturing machine state.  The fault controller and
+    // the retained network outlive the lease release — queued fault/glitch
+    // closures point into them and are only dropped by the pool's engine
+    // reset.
+    MutexLock lk(&mu_);
+    system_.reset();
+    lease_.release();
+    faults_.reset();
+    net_.reset();
+  }
+  obs::Tracer::global().instant("session", "session.close",
+                                WallClock::now_ns(), "id", id_);
   for (auto& fn : fire) fn();
-  return first;
+  return true;
 }
 
 }  // namespace spinn::server

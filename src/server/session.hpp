@@ -9,10 +9,19 @@
 // can poll or stream results mid-run.  Sessions are isolated: each owns its
 // engine lease (own RNG streams via the engine reset) and its own recorder.
 //
-// Thread model: every public method is safe to call from any thread.  One
-// mutex guards all state; scheduler workers hold it for the duration of one
-// service slice, so client calls (drain/status/close) interleave at slice
-// granularity.
+// Thread model: every public method is safe to call from any thread.  Two
+// locks split the state.  The slice lock (`mu_`) guards the simulation — the
+// system, its engine lease, network and fault controller — and a scheduler
+// worker holds it through one build or one slice.  The control lock
+// (`ctl_`, a leaf under `mu_`) guards what clients read and write: the
+// lifecycle state, the run target, queued faults, idle callbacks, and the
+// spikes and progress that service() publishes at every slice boundary.
+// Client methods (drain, status, has_work, request_run, schedule_fault,
+// notify_idle, wait_idle) take only `ctl_`, which is never held across a
+// build, a slice, a lease release or a callback, so they never wait for a
+// slice and see the session as of its last completed slice.  close() marks
+// the session closed under `ctl_` (no further slice starts) and then takes
+// `mu_` to tear down, so it waits for at most the slice in flight.
 #pragma once
 
 #include <atomic>
@@ -78,7 +87,7 @@ class Session {
 
   /// Extend the biological-time target.  Work happens on scheduler workers;
   /// returns false once the session is closed or failed.
-  bool request_run(TimeNs duration) SPINN_EXCLUDES(mu_);
+  bool request_run(TimeNs duration) SPINN_EXCLUDES(ctl_);
 
   /// Queue a fault for the session's chaos schedule.  The action is
   /// validated against the spec's machine dimensions here; it is handed to
@@ -87,19 +96,20 @@ class Session {
   /// see the identical fault timeline.  False with a reason for
   /// out-of-range coordinates or a closed/failed session.
   bool schedule_fault(const FaultAction& action, std::string* error)
-      SPINN_EXCLUDES(mu_);
+      SPINN_EXCLUDES(ctl_);
 
   /// Perform one work quantum on the calling (worker) thread: build the
-  /// system if still Pending, else advance at most `slice` of biological
-  /// time.  Returns true while more work is pending.
-  bool service(TimeNs slice) SPINN_EXCLUDES(mu_);
+  /// system if still Pending, then advance at most `slice` of biological
+  /// time, and publish the slice's spikes and progress.  Returns true
+  /// while more work is pending.
+  bool service(TimeNs slice) SPINN_EXCLUDES(mu_, ctl_);
 
-  /// True while the session needs worker time (build pending or bio time
-  /// still owed).
-  bool has_work() const SPINN_EXCLUDES(mu_);
+  /// True while the session needs worker time (build pending, bio time
+  /// still owed or faults queued), as of the last completed slice.
+  bool has_work() const SPINN_EXCLUDES(ctl_);
 
   /// Block until the session has no pending work (or is closed/failed).
-  void wait_idle() SPINN_EXCLUDES(mu_);
+  void wait_idle() SPINN_EXCLUDES(ctl_);
 
   /// Invoke `fn` exactly once when the session next has no pending work:
   /// immediately (on the calling thread) if already idle, otherwise from
@@ -107,18 +117,21 @@ class Session {
   /// This is the non-blocking sibling of wait_idle() — transports park a
   /// pipelined `wait` on it instead of tying up a thread.  `fn` must not
   /// call back into the session.
-  void notify_idle(std::function<void()> fn) SPINN_EXCLUDES(mu_);
+  void notify_idle(std::function<void()> fn) SPINN_EXCLUDES(ctl_);
 
-  /// Spikes recorded since the previous drain, in recording order.  Empty
-  /// after teardown.
-  std::vector<neural::SpikeRecorder::Event> drain() SPINN_EXCLUDES(mu_);
+  /// Spikes of the slices completed since the previous drain, in recording
+  /// order.  Empty after teardown.
+  std::vector<neural::SpikeRecorder::Event> drain() SPINN_EXCLUDES(ctl_);
 
-  SessionStatus status() const SPINN_EXCLUDES(mu_);
+  /// The session as of its last completed slice.
+  SessionStatus status() const SPINN_EXCLUDES(ctl_);
 
-  /// Tear down: destroy the system, return the engine to the pool.  Safe to
-  /// call repeatedly and concurrently; only the first call acts (returns
-  /// true).  `evicted` marks the teardown as server-initiated in status().
-  bool close(bool evicted = false) SPINN_EXCLUDES(mu_);
+  /// Tear down: destroy the system, return the engine to the pool.  Waits
+  /// for at most the slice in flight.  Safe to call repeatedly and
+  /// concurrently; only the first call acts (returns true).  `evicted`
+  /// marks the teardown as server-initiated in status(), which afterwards
+  /// reports where the session stopped.
+  bool close(bool evicted = false) SPINN_EXCLUDES(mu_, ctl_);
 
   /// Scheduler queue-membership flag (dedup: a session sits in the ready
   /// queue at most once).  try_mark_queued() returns true to the single
@@ -129,19 +142,38 @@ class Session {
   void mark_unqueued() { queued_.store(false, std::memory_order_release); }
 
  private:
+  /// What status() reports of the simulation, refreshed by publish_locked().
+  struct Progress {
+    TimeNs bio_now = 0;
+    std::size_t spikes_recorded = 0;
+    std::size_t chips_alive = 0;
+    bool load_ok = false;
+    FaultTotals faults;
+  };
+
   /// Timed wrapper (session.build span + server.build_ns histogram)
-  /// around the actual compile in build_impl_locked().
-  void build_locked() SPINN_REQUIRES(mu_);
-  void build_impl_locked() SPINN_REQUIRES(mu_);
-  /// Hand queued fault actions to the controller (root-event scheduling).
-  void flush_faults_locked() SPINN_REQUIRES(mu_);
-  /// Surface fatal fault outcomes — failed migrations, glitch-link
-  /// deadlock-watchdog expiries — as the failed session state.
-  void poll_faults_locked() SPINN_REQUIRES(mu_);
-  bool work_pending_locked() const SPINN_REQUIRES(mu_);
-  TimeNs goal_locked() const SPINN_REQUIRES(mu_) {
-    return run_base_ + requested_;
-  }
+  /// around the actual compile in build_impl_locked().  Returns the
+  /// failure reason, empty on success.
+  std::string build_locked() SPINN_REQUIRES(mu_) SPINN_EXCLUDES(ctl_);
+  std::string build_impl_locked() SPINN_REQUIRES(mu_) SPINN_EXCLUDES(ctl_);
+  /// Slice start: take the queued faults and, when bio time is owed, mark
+  /// the session Running and return the step to run.  Returns false when
+  /// the session has no system to advance (failed or closed).
+  bool start_slice_locked(TimeNs slice, TimeNs* step,
+                          std::vector<FaultAction>* faults)
+      SPINN_REQUIRES(mu_, ctl_);
+  /// The slice itself, under the slice lock only: hand `faults` to the
+  /// controller, advance `step`, and return a session-fatal outcome — a
+  /// thrown run, a failed migration, a glitch-link deadlock-watchdog
+  /// expiry — as a reason (empty when the session carries on).
+  std::string run_slice_locked(const std::vector<FaultAction>& faults,
+                               TimeNs step) SPINN_REQUIRES(mu_)
+      SPINN_EXCLUDES(ctl_);
+  /// Slice boundary: apply `failure` (or a finished build's Ready), move
+  /// the recorder's new spikes to the published buffer and refresh the
+  /// published progress.  Allocates nothing when no spike was recorded.
+  void publish_locked(const std::string& failure) SPINN_REQUIRES(mu_, ctl_);
+  bool work_pending_locked() const SPINN_REQUIRES(ctl_);
 
   const SessionId id_;
   const SessionSpec spec_;
@@ -149,14 +181,16 @@ class Session {
   /// Wall time at open — the TTFS (time-to-first-spike) epoch.
   const std::int64_t opened_wall_ns_;
 
+  /// The slice lock: held by a worker through one build or one slice.
   mutable Mutex mu_;
+  /// The control lock: a leaf, taken after `mu_` when both are held, and
+  /// never held across a build, a slice, a lease release or a callback.
+  mutable Mutex ctl_ SPINN_ACQUIRED_AFTER(mu_);
+  /// Waits run under `ctl_`.
   CondVar idle_cv_;
   std::atomic<bool> queued_{false};
 
-  SessionState state_ SPINN_GUARDED_BY(mu_) = SessionState::Pending;
-  bool evicted_ SPINN_GUARDED_BY(mu_) = false;
-  /// Total biological time asked for.
-  TimeNs requested_ SPINN_GUARDED_BY(mu_) = 0;
+  // ---- slice state (mu_) ----
   /// Engine time when the run phase began (post-boot).
   TimeNs run_base_ SPINN_GUARDED_BY(mu_) = 0;
   EnginePool::Lease lease_ SPINN_GUARDED_BY(mu_);
@@ -170,16 +204,25 @@ class Session {
   /// Fault orchestration; destroyed only after the engine lease resets the
   /// event queue (queued fault/glitch closures point into it).
   std::unique_ptr<FaultController> faults_ SPINN_GUARDED_BY(mu_);
-  /// Actions accepted before the next service slice hands them over.
-  std::vector<FaultAction> pending_faults_ SPINN_GUARDED_BY(mu_);
-  std::size_t drained_total_ SPINN_GUARDED_BY(mu_) = 0;
   /// server.ttfs_ns fires once, at the first slice that recorded a spike.
   bool ttfs_observed_ SPINN_GUARDED_BY(mu_) = false;
-  std::string error_ SPINN_GUARDED_BY(mu_);
+
+  // ---- control state (ctl_) ----
+  SessionState state_ SPINN_GUARDED_BY(ctl_) = SessionState::Pending;
+  bool evicted_ SPINN_GUARDED_BY(ctl_) = false;
+  /// Total biological time asked for.
+  TimeNs requested_ SPINN_GUARDED_BY(ctl_) = 0;
+  /// Actions accepted before the next service slice hands them over.
+  std::vector<FaultAction> pending_faults_ SPINN_GUARDED_BY(ctl_);
+  std::string error_ SPINN_GUARDED_BY(ctl_);
   /// One-shot callbacks waiting for the next idle instant (see notify_idle).
-  /// Swapped out under mu_ and *fired after release*: a callback may
+  /// Swapped out under ctl_ and *fired after release*: a callback may
   /// re-enter the scheduler or write a transport's wakeup pipe.
-  std::vector<std::function<void()>> idle_callbacks_ SPINN_GUARDED_BY(mu_);
+  std::vector<std::function<void()>> idle_callbacks_ SPINN_GUARDED_BY(ctl_);
+  std::size_t drained_total_ SPINN_GUARDED_BY(ctl_) = 0;
+  /// Spikes of completed slices not yet drained, in recording order.
+  std::vector<neural::SpikeRecorder::Event> published_ SPINN_GUARDED_BY(ctl_);
+  Progress progress_ SPINN_GUARDED_BY(ctl_);
 };
 
 }  // namespace spinn::server

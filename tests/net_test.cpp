@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -676,6 +677,45 @@ TEST(NetServer, ParkedWaitDoesNotBlockOtherConnections) {
   // The parked wait resolves once the long session finishes.
   EXPECT_EQ(slow.receive(), "ok t=" + std::to_string(150 * kMillisecond));
   EXPECT_EQ(slow.request("close " + std::to_string(slow_id)), "ok");
+}
+
+// A reactor never waits for a slice.  With one reactor, connection A polls
+// drain and status of a session inside one long slice, and connection B
+// pings: both are answered while that slice still runs.
+TEST(NetServer, ReactorAnswersWhileASliceRuns) {
+  constexpr TimeNs kRun = 300 * kMillisecond;
+  NetConfig cfg;
+  cfg.reactors = 1;
+  cfg.session.workers = 1;
+  cfg.session.slice = kRun;  // the whole run is one slice
+  NetServer srv(cfg);
+  const server::SessionId id =
+      srv.sessions().open_and_run(test::heavy_spec(3), kRun);
+  ASSERT_NE(id, server::kInvalidSession);
+  const std::string sid = std::to_string(id);
+  Client a(srv.port());
+  Client b(srv.port());
+
+  // The build and the slice run in one service call; the session leaves
+  // pending when the slice starts.
+  std::string status = a.request("status " + sid);
+  while (status.find("state=pending") != std::string::npos) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    status = a.request("status " + sid);
+  }
+  const auto poll =
+      Client::split_response(a.batch({"drain " + sid, "status " + sid}));
+  ASSERT_EQ(poll.size(), 2u);
+  EXPECT_EQ(poll[0], "spikes 0");
+  EXPECT_NE(poll[1].find("state=running"), std::string::npos) << poll[1];
+  EXPECT_EQ(b.request("ping"), "ok");
+  // Both replies came back before the slice ended.
+  const std::string after = a.request("status " + sid);
+  EXPECT_NE(after.find("state=running"), std::string::npos) << after;
+  EXPECT_NE(after.find(" t=0 "), std::string::npos) << after;
+
+  EXPECT_EQ(a.request("wait " + sid), "ok t=" + std::to_string(kRun));
+  EXPECT_EQ(a.request("close " + sid), "ok");
 }
 
 // ---- backpressure ----------------------------------------------------------

@@ -328,6 +328,161 @@ TEST(SessionServer, ShutdownWithLiveSessionsIsClean) {
   // Destructor runs here with sessions still owing bio time.
 }
 
+// ---- the slice lock and the control lock ------------------------------------
+
+// An open asks every resident session whether it is busy while it holds the
+// server lock.  The answer comes from what the last slice published, so the
+// open does not wait for a busy session's slice: with the only resident
+// session inside one long slice, the open is refused while the slice runs.
+TEST(SessionServer, OpenDoesNotWaitForABusySessionsSlice) {
+  constexpr TimeNs kRun = 300 * kMillisecond;
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.max_sessions = 1;
+  cfg.slice = kRun;  // the whole run is one slice
+  SessionServer server(cfg);
+  const SessionId id = server.open_and_run(test::heavy_spec(1), kRun);
+  ASSERT_NE(id, kInvalidSession);
+  // The build and the slice run in one service call; the session leaves
+  // Pending when the slice starts.
+  while (server.status(id).state == SessionState::Pending) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::string error;
+  EXPECT_EQ(server.open(spec_with("chain", 2, sim::EngineKind::Serial),
+                        &error),
+            kInvalidSession);
+  EXPECT_NE(error.find("server full"), std::string::npos) << error;
+  // The slice is still in flight: the refusal did not wait for it.
+  const SessionStatus st = server.status(id);
+  EXPECT_EQ(st.state, SessionState::Running);
+  EXPECT_EQ(st.bio_now, 0);
+  ASSERT_TRUE(server.wait(id));
+  EXPECT_EQ(server.status(id).bio_now, kRun);
+}
+
+// close() marks the session closed, so no further slice starts, and then
+// waits for the slice in flight: the session stops at most one slice past
+// what a client saw before the close, and the tombstone says where.
+TEST(SessionServer, CloseMidRunStopsWithinOneSlice) {
+  constexpr TimeNs kRun = 2000 * kMillisecond;
+  ServerConfig cfg;
+  cfg.workers = 1;  // 1 ms slices
+  SessionServer server(cfg);
+  const SessionId id = server.open_and_run(test::heavy_spec(2), kRun);
+  ASSERT_NE(id, kInvalidSession);
+  TimeNs before = 0;
+  while ((before = server.status(id).bio_now) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_LT(before, kRun);  // a status asked mid-run answers mid-run
+  ASSERT_TRUE(server.close(id));
+  const SessionStatus st = server.status(id);
+  EXPECT_EQ(st.state, SessionState::Closed);
+  EXPECT_GE(st.bio_now, before);
+  EXPECT_LE(st.bio_now, before + cfg.slice);
+  EXPECT_TRUE(server.drain(id).empty());
+}
+
+// Client verbs racing the workers: four threads send drain, status, run,
+// fault and busy to four sessions while two workers slice them.  Each
+// drain hands over every spike of the completed slices exactly once, so a
+// session's drains, concatenated in the order they returned, equal
+// run_standalone.  Each fault is handed to the controller exactly once; it
+// is timed past the end of the run, so the stream stays fault-free.
+TEST(SessionServer, ClientVerbsRacingSlicesKeepStreamsBitIdentical) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 400;
+  constexpr TimeNs kStep = 2 * kMillisecond;
+  const std::vector<SessionSpec> specs = {
+      spec_with("noise", 61, sim::EngineKind::Serial),
+      spec_with("noise", 62, sim::EngineKind::Sharded, 2, 2),
+      spec_with("stdp", 63, sim::EngineKind::Serial),
+      spec_with("chain", 64, sim::EngineKind::Sharded, 4, 2),
+  };
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.max_sessions = specs.size();
+  SessionServer server(cfg);
+  std::vector<SessionId> ids;
+  for (const SessionSpec& spec : specs) {
+    ids.push_back(server.open(spec));
+    ASSERT_NE(ids.back(), kInvalidSession);
+  }
+
+  // Per session: the drains in the order they returned (a drain and its
+  // append happen under one lock), the run calls and the faults accepted.
+  struct Stream {
+    Mutex mu;
+    Events events;
+    std::atomic<int> runs{0};
+    std::atomic<int> faults{0};
+  };
+  std::vector<Stream> streams(specs.size());
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      std::vector<TimeNs> seen(specs.size(), 0);
+      for (int r = 0; r < kRounds; ++r) {
+        const std::size_t s = static_cast<std::size_t>(t + r) % specs.size();
+        const SessionId id = ids[s];
+        switch ((t + r / specs.size()) % 5) {
+          case 0:
+            ASSERT_TRUE(server.run(id, kStep));
+            ++streams[s].runs;
+            break;
+          case 1: {
+            MutexLock lk(&streams[s].mu);
+            append(streams[s].events, server.drain(id));
+            break;
+          }
+          case 2: {
+            const SessionStatus st = server.status(id);
+            EXPECT_LE(st.bio_now, st.bio_target);
+            EXPECT_LE(st.spikes_drained, st.spikes_recorded);
+            EXPECT_GE(st.bio_now, seen[s]);  // progress never goes back
+            seen[s] = st.bio_now;
+            break;
+          }
+          case 3: {
+            FaultAction far;
+            far.at = 1000 * kMillisecond;  // past the end of the run
+            far.chip = {1, 1};
+            far.core = 1;
+            std::string error;
+            ASSERT_TRUE(server.fault(id, far, &error)) << error;
+            ++streams[s].faults;
+            break;
+          }
+          default:
+            server.busy(id);
+            break;
+        }
+        // Spread the verbs over the slices the runs queue.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    SCOPED_TRACE("session " + std::to_string(s) + " app=" + specs[s].app);
+    ASSERT_TRUE(server.wait(ids[s]));
+    append(streams[s].events, server.drain(ids[s]));
+    const TimeNs total = streams[s].runs.load() * kStep;
+    const SessionStatus st = server.status(ids[s]);
+    EXPECT_EQ(st.bio_now, total);
+    EXPECT_EQ(st.faults_scheduled,
+              static_cast<std::size_t>(streams[s].faults.load()));
+    EXPECT_EQ(st.faults_executed, 0u);
+    EXPECT_EQ(st.spikes_drained, st.spikes_recorded);
+    const Events reference = run_standalone(specs[s], total);
+    EXPECT_TRUE(same_events(streams[s].events, reference))
+        << "stream size " << streams[s].events.size() << " vs reference "
+        << reference.size();
+  }
+}
+
 // ---- cost-aware admission --------------------------------------------------
 
 // The admission cost model itself: (machine footprint + the network's
@@ -686,6 +841,14 @@ TEST(SpikeRecorderDrain, StreamingModeReleasesDrainedPrefix) {
   EXPECT_EQ(next[0].key, 300u);
   EXPECT_EQ(rec.count(), 3u);         // lifetime total unaffected
   EXPECT_EQ(rec.drained(), 3u);
+  // drain_into appends to a buffer that already holds events.
+  rec.record(4, 400);
+  Events buffer = {{3, 300}};
+  rec.drain_into(buffer);
+  ASSERT_EQ(buffer.size(), 2u);
+  EXPECT_EQ(buffer[1].key, 400u);
+  EXPECT_TRUE(rec.events().empty());
+  EXPECT_EQ(rec.drained(), 4u);
 }
 
 }  // namespace

@@ -40,6 +40,13 @@ repo-wide discipline whose rationale lives where the discipline does:
                       every use outside the macro's own header needs an
                       adjacent justifying comment (same line or one of the
                       three lines above).
+  session-client-lock Session's client methods (drain, status, has_work,
+                      request_run, schedule_fault, notify_idle, wait_idle)
+                      take only the control lock `ctl_`: their bodies in
+                      src/server/session.cpp must not name the slice lock
+                      `mu_`, which a worker holds through a whole slice —
+                      a client call taking it waits for that slice, and a
+                      reactor making the call stalls every connection.
   obs-hot-path        A body annotated `// obs:hot` is a telemetry hot
                       path — counter increments and trace records that run
                       per frame/spike.  No locks, no allocation, no
@@ -82,6 +89,12 @@ REACTOR_LOOP_HOME = "src/net/reactor.cpp"
 # Fault-controller entry points run as root-actor events inside the engine
 # loop: the same no-blocking discipline as the reactors.
 FAULT_FILE = "src/core/fault_controller.cpp"
+# Session methods a client (often a reactor) calls: they take only the
+# control lock, never the slice lock a worker holds through a slice.
+SESSION_FILE = "src/server/session.cpp"
+SESSION_CLIENT_METHODS = ("drain", "status", "has_work", "request_run",
+                          "schedule_fault", "notify_idle", "wait_idle")
+SLICE_LOCK = re.compile(r"\bmu_\b")
 ALLOW_WINDOW = 40
 
 RAW_MUTEX = re.compile(
@@ -320,6 +333,28 @@ def scan_file(rel_path, raw_text):
             report("fault-blocking", 1,
                    "no FaultController method body found — fault rules "
                    "cannot run")
+
+    # session-client-lock: a client method naming the slice lock would wait
+    # for a whole slice.  Every listed body must be found, or the rule has
+    # silently stopped running.
+    if rel_path == SESSION_FILE:
+        for method in SESSION_CLIENT_METHODS:
+            decl = re.search(r"\bSession::" + method + r"\s*\(", code)
+            start, end = (brace_matched_region(code, decl.end()) if decl
+                          else (-1, -1))
+            if start < 0:
+                report("session-client-lock", 1,
+                       f"no Session::{method} body found — the client-lock "
+                       "rule cannot check it")
+                continue
+            body_first_line = line_of(code, start)
+            for off, line in enumerate(code[start:end].splitlines()):
+                if SLICE_LOCK.search(line):
+                    report(
+                        "session-client-lock", body_first_line + off,
+                        f"Session::{method}() names the slice lock mu_; "
+                        "client methods take only ctl_, or they wait for "
+                        "a whole slice")
 
     # frame-throw: the decode path stays exception-free and noexcept.
     if rel_path in ("src/net/frame.cpp", "src/net/frame.hpp"):
