@@ -34,7 +34,9 @@ CapacityPoint run_point(std::uint32_t neurons, double input_rate_hz,
   cfg.machine.height = 1;
   cfg.machine.chip.num_cores = 3;
   cfg.machine.chip.clock_drift_ppm_sigma = 0.0;
-  cfg.mapper.neurons_per_core = 4000;
+  // Each population on one core: a slice holds at most the key layout's
+  // 2048 neurons, which ends the sweep.
+  cfg.mapper.neurons_per_core = 1u << kNeuronKeyBits;
   System sys(cfg);
 
   neural::Network net;
@@ -77,7 +79,7 @@ int main(int argc, char** argv) {
 
     capacity = 0;
     for (const std::uint32_t n :
-         {100u, 250u, 500u, 750u, 1000u, 1250u, 1500u, 2000u, 3000u}) {
+         {100u, 250u, 500u, 750u, 1000u, 1250u, 1500u, 2000u, 2048u}) {
       const CapacityPoint p = run_point(n, 10.0);
       const bool ok = p.overruns == 0;
       if (ok) capacity = n;

@@ -1,14 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot kernels: the
 // delay-insensitive codecs, multicast table lookup, event-queue operations,
-// neuron-slice updates, the deferred-event ring and topology routing.
+// neuron-slice updates, the deferred-event ring, topology routing, the
+// loader and the packet path's synaptic-row lookup.
 // These bound how large a machine/network the simulator itself can handle.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "core/system.hpp"
 #include "link/codes.hpp"
 #include "mesh/topology.hpp"
+#include "net/client.hpp"
 #include "neural/input_ring.hpp"
 #include "neural/neuron_models.hpp"
+#include "neural/synapse.hpp"
 #include "router/routing_table.hpp"
 #include "sim/event_queue.hpp"
 
@@ -142,5 +150,82 @@ void BM_RngPoisson(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngPoisson);
+
+/// The wire benchmark's `longrun` net: 1000 Poisson sources driving 3000
+/// LIF and 2000 Izhikevich neurons through fixed-probability projections,
+/// on a 6x6 machine with 4 cores per chip.
+neural::Network longrun_net() {
+  net::NetBuilder b;
+  b.poisson("noise", 1000, 30.0);
+  b.lif("exc", 3000);
+  b.izhikevich("izh", 2000);
+  const auto w = neural::ValueDist::uniform(2.0, 6.0);
+  const auto d = neural::ValueDist::uniform(1.0, 8.0);
+  b.project("noise", "exc", neural::Connector::fixed_probability(0.02), w, d);
+  b.project("noise", "izh", neural::Connector::fixed_probability(0.02), w, d);
+  b.project("exc", "izh", neural::Connector::fixed_probability(0.005), w, d);
+  b.project("izh", "exc", neural::Connector::fixed_probability(0.005), w, d,
+            /*inhibitory=*/true);
+  neural::Network net;
+  neural::build(b.description(), &net, nullptr);
+  return net;
+}
+
+/// One System::load of the longrun net: placement, routing, the
+/// fixed-probability scan and the row stores.  Items are synapses.
+void BM_LoadLongrunNet(benchmark::State& state) {
+  SystemConfig cfg;
+  cfg.machine.width = 6;
+  cfg.machine.height = 6;
+  cfg.machine.chip.num_cores = 4;
+  cfg.machine.seed = 1;
+  const neural::Network net = longrun_net();
+  std::uint64_t synapses = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sys = std::make_unique<System>(cfg);
+    state.ResumeTiming();
+    synapses += sys->load(net).total_synapses;
+    state.PauseTiming();
+    sys.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(synapses));
+}
+BENCHMARK(BM_LoadLongrunNet)->Unit(benchmark::kMillisecond);
+
+/// RowStore::find on a core holding rows from 24 source slices of 256
+/// neurons, about half of whose neurons have a row of 4 synapses there.
+/// Arg 1 looks up keys with a row, arg 0 keys without one (the packet
+/// path's miss: a spike for no neuron on this core), in shuffled order.
+void BM_RowStoreFind(benchmark::State& state) {
+  Rng rng(6);
+  std::vector<neural::StagedSynapse> staged;
+  std::vector<RoutingKey> hits;
+  std::vector<RoutingKey> misses;
+  for (RoutingKey slice = 0; slice < 24; ++slice) {
+    for (RoutingKey n = 0; n < 256; ++n) {
+      const RoutingKey key = (slice << kNeuronKeyBits) + n;
+      if (!rng.chance(0.5)) {
+        misses.push_back(key);
+        continue;
+      }
+      hits.push_back(key);
+      for (int k = 0; k < 4; ++k) staged.push_back({key, neural::Synapse{}});
+    }
+    // Slices that send nothing here.
+    misses.push_back(((slice + 100) << kNeuronKeyBits) + 7);
+  }
+  const neural::RowStore store(staged);
+  std::vector<RoutingKey>& keys = state.range(0) == 1 ? hits : misses;
+  std::shuffle(keys.begin(), keys.end(), rng);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.find(keys[i]));
+    if (++i == keys.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RowStoreFind)->ArgName("hit")->Arg(1)->Arg(0);
 
 }  // namespace

@@ -7,6 +7,7 @@
 // variables).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace spinn {
@@ -38,11 +39,11 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
-  std::uint64_t next();
+  std::uint64_t next() { return step(s_[0], s_[1], s_[2], s_[3]); }
   result_type operator()() { return next(); }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -51,7 +52,38 @@ class Rng {
   std::uint64_t uniform_int(std::uint64_t n);
 
   /// Bernoulli trial with probability p.
-  bool chance(double p);
+  bool chance(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
+
+  /// The number of consecutive chance(p) trials that fail, stopping at the
+  /// first success or after `limit` failures.  Returns the count and leaves
+  /// the generator exactly where that loop of chance(p) calls would: a
+  /// result below `limit` means trial result + 1 succeeded.  Like chance(),
+  /// it draws nothing for p <= 0 (every trial fails) or p >= 1 (the first
+  /// succeeds), and a NaN p fails every trial, one draw each.
+  std::uint64_t chance_failures(double p, std::uint64_t limit) {
+    if (p >= 1.0) return 0;
+    if (p <= 0.0) return limit;
+    // uniform() < p  <=>  (next() >> 11) < p * 2^53  <=>  the integer draw
+    // is below ceil(p * 2^53), which is exact: scaling by 2^53 is.
+    const std::uint64_t below =
+        std::isnan(p) ? 0
+                      : static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    // The state lives in locals for the whole scan, not behind `this`.
+    std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+    std::uint64_t failures = 0;
+    while (failures < limit && (step(s0, s1, s2, s3) >> 11) >= below) {
+      ++failures;
+    }
+    s_[0] = s0;
+    s_[1] = s1;
+    s_[2] = s2;
+    s_[3] = s3;
+    return failures;
+  }
 
   /// Poisson-distributed count with the given mean (inversion for small
   /// means, normal approximation above 60).
@@ -77,6 +109,24 @@ class Rng {
   static Rng fork(std::uint64_t seed, std::uint64_t stream);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  /// One xoshiro256** step over the state words.
+  static std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1,
+                            std::uint64_t& s2, std::uint64_t& s3) {
+    const std::uint64_t result = rotl(s1 * 5, 7) * 9;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl(s3, 45);
+    return result;
+  }
+
   std::uint64_t s_[4];
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;

@@ -2,6 +2,101 @@
 
 namespace spinn::map {
 
+namespace {
+
+using Staging = std::vector<std::vector<neural::StagedSynapse>>;
+
+/// Expands one projection into synapses, staging each for its target slice
+/// in generation order; returns how many it staged.  The draws are the
+/// load's connectivity stream: pre neurons in order, and for each its
+/// candidate post neurons in order, every candidate of a fixed-probability
+/// projection taking one chance(p) trial and every synapse its delay and
+/// then its weight.  The self pair of a projection without self
+/// connections is no candidate and takes no trial.
+std::uint64_t expand(const neural::Projection& proj,
+                     const neural::Network& net,
+                     const PlacementResult& placement, Rng& rng,
+                     Staging& staged) {
+  const neural::Connector& conn = proj.connector;
+  const std::vector<std::size_t>& post_slices =
+      placement.by_population[proj.post];
+  std::uint64_t count = 0;
+
+  // Stages the synapse from `key` to neuron j of slice q.
+  const auto add = [&](RoutingKey key, std::size_t q, std::uint32_t j) {
+    // Delay first, then weight, as named draws: C++ leaves the order in
+    // which a call's arguments are evaluated unspecified, so drawing both
+    // inside one argument list made the synapses depend on the compiler.
+    const double d_ms = proj.delay_ms.sample(rng);
+    const double w = proj.weight.sample(rng);
+    neural::Synapse syn;
+    syn.weight_raw = neural::Synapse::pack_weight(w);
+    syn.inhibitory = proj.inhibitory;
+    syn.plastic = proj.stdp.enabled;
+    auto delay = static_cast<std::uint8_t>(d_ms + 0.5);
+    if (delay < 1) delay = 1;
+    if (delay > neural::kMaxDelayTicks) delay = neural::kMaxDelayTicks;
+    syn.delay = delay;
+    syn.target =
+        static_cast<std::uint16_t>(j - placement.slices[q].first_neuron);
+    staged[q].push_back({key, syn});
+    ++count;
+  };
+
+  // Connects `key` to the candidates [lo, hi) of slice q.  A fixed-
+  // probability scan jumps over each run of failed trials in one call,
+  // which makes exactly the draws of one chance() per candidate.
+  const auto connect = [&](RoutingKey key, std::size_t q, std::uint32_t lo,
+                           std::uint32_t hi) {
+    if (conn.kind == neural::ConnectorKind::AllToAll) {
+      for (std::uint32_t j = lo; j < hi; ++j) add(key, q, j);
+      return;
+    }
+    for (std::uint32_t j = lo;; ++j) {
+      j += static_cast<std::uint32_t>(rng.chance_failures(conn.probability,
+                                                          hi - j));
+      if (j >= hi) return;
+      add(key, q, j);
+    }
+  };
+
+  // One past the last neuron of slice q.
+  const auto end_of = [&](std::size_t q) {
+    return placement.slices[q].first_neuron + placement.slices[q].num_neurons;
+  };
+
+  const bool skip_self = proj.pre == proj.post && !conn.allow_self;
+  const std::uint32_t post_size = net.population(proj.post).size;
+  std::size_t partner = 0;  // post_slices entry of a one-to-one partner
+  for (const std::size_t p : placement.by_population[proj.pre]) {
+    const Slice& ps = placement.slices[p];
+    for (std::uint32_t n = 0; n < ps.num_neurons; ++n) {
+      const std::uint32_t i = ps.first_neuron + n;
+      const RoutingKey key = ps.key_base + n;
+      if (conn.kind == neural::ConnectorKind::OneToOne) {
+        if (i >= post_size) return count;
+        // Partners ascend with i, so their slice only moves forward.
+        while (end_of(post_slices[partner]) <= i) ++partner;
+        add(key, post_slices[partner], i);
+        continue;
+      }
+      for (const std::size_t q : post_slices) {
+        const std::uint32_t lo = placement.slices[q].first_neuron;
+        const std::uint32_t hi = end_of(q);
+        if (skip_self && i >= lo && i < hi) {
+          connect(key, q, lo, i);
+          connect(key, q, i + 1, hi);
+        } else {
+          connect(key, q, lo, hi);
+        }
+      }
+    }
+  }
+  return count;
+}
+
+}  // namespace
+
 LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
                         neural::SpikeRecorder* recorder, Rng& rng) {
   LoadReport report;
@@ -10,21 +105,8 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
   // 1. Place.
   report.placement = place(net, machine, cfg_);
   if (!report.placement.fits) {
-    // Quantify the miss: this string reaches a session's status (and so a
-    // wire client who described the net), where "does not fit" alone
-    // gives no hint whether to shrink the net or grow the machine.
-    std::uint64_t required = 0;
-    for (const auto& p : net.populations()) {
-      required += (static_cast<std::uint64_t>(p.size) +
-                   cfg_.neurons_per_core - 1) /
-                  cfg_.neurons_per_core;
-    }
     report.ok = false;
-    report.error = "network does not fit on the machine: " +
-                   std::to_string(net.total_neurons()) + " neurons need " +
-                   std::to_string(required) + " cores at " +
-                   std::to_string(cfg_.neurons_per_core) +
-                   " neurons_per_core";
+    report.error = report.placement.error;
     return report;
   }
   const PlacementResult& placement = report.placement;
@@ -44,81 +126,18 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
     }
   }
 
-  // 3. Build synaptic rows, one RowStore per slice (every slice has a core
-  //    of its own).
-  std::vector<std::shared_ptr<neural::RowStore>> stores(
-      placement.slices.size());
-  for (auto& store : stores) store = std::make_shared<neural::RowStore>();
-
+  // 3. Generate the synapses, staged per target slice (every slice has a
+  //    core of its own); step 4 builds each slice's rows from its stage.
+  Staging staged(placement.slices.size());
   for (const neural::Projection& proj : net.projections()) {
-    const neural::Population& pre = net.population(proj.pre);
-    const neural::Population& post = net.population(proj.post);
-    for (std::uint32_t i = 0; i < pre.size; ++i) {
-      const auto pre_slice = slice_of(placement, proj.pre, i);
-      if (!pre_slice.has_value()) continue;
-      const Slice& ps = placement.slices[*pre_slice];
-      const RoutingKey key = ps.key_base + (i - ps.first_neuron);
-
-      auto add_synapse = [&](std::uint32_t j) {
-        // Delay first, then weight, as named draws: C++ leaves the order in
-        // which a call's arguments are evaluated unspecified, so drawing
-        // both inside one argument list made the synapses depend on the
-        // compiler.
-        const double d_ms = proj.delay_ms.sample(rng);
-        const double w = proj.weight.sample(rng);
-        const auto post_slice = slice_of(placement, proj.post, j);
-        if (!post_slice.has_value()) return;
-        const Slice& qs = placement.slices[*post_slice];
-        neural::Synapse syn;
-        syn.weight_raw = neural::Synapse::pack_weight(w);
-        syn.inhibitory = proj.inhibitory;
-        syn.plastic = proj.stdp.enabled;
-        auto delay = static_cast<std::uint8_t>(d_ms + 0.5);
-        if (delay < 1) delay = 1;
-        if (delay > neural::kMaxDelayTicks) delay = neural::kMaxDelayTicks;
-        syn.delay = delay;
-        syn.target = static_cast<std::uint16_t>(j - qs.first_neuron);
-        neural::SynapticRow& row = stores[*post_slice]->row_for(key);
-        row.synapses.push_back(syn);
-        row.plastic = row.plastic || syn.plastic;
-        ++report.total_synapses;
-      };
-
-      switch (proj.connector.kind) {
-        case neural::ConnectorKind::AllToAll:
-          for (std::uint32_t j = 0; j < post.size; ++j) {
-            if (proj.pre == proj.post && i == j &&
-                !proj.connector.allow_self) {
-              continue;
-            }
-            add_synapse(j);
-          }
-          break;
-        case neural::ConnectorKind::OneToOne:
-          if (i < post.size) {
-            add_synapse(i);
-          }
-          break;
-        case neural::ConnectorKind::FixedProbability:
-          for (std::uint32_t j = 0; j < post.size; ++j) {
-            if (proj.pre == proj.post && i == j &&
-                !proj.connector.allow_self) {
-              continue;
-            }
-            if (rng.chance(proj.connector.probability)) {
-              add_synapse(j);
-            }
-          }
-          break;
-      }
-    }
+    report.total_synapses += expand(proj, net, placement, rng, staged);
   }
 
   // 4. Charge SDRAM and install the applications.
   for (std::size_t si = 0; si < placement.slices.size(); ++si) {
     const Slice& s = placement.slices[si];
     const neural::Population& pop = net.population(s.pop);
-    auto& store = stores[si];
+    auto store = std::make_shared<neural::RowStore>(staged[si]);
     report.total_rows += store->num_rows();
 
     chip::Chip& chip = machine.chip_at(s.core.chip);
@@ -153,7 +172,8 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
       }
     }
 
-    auto app = std::make_unique<neural::NeuronApp>(sc, store, recorder);
+    auto app =
+        std::make_unique<neural::NeuronApp>(sc, std::move(store), recorder);
     report.dtcm_ring_bytes +=
         neural::InputRing::kSlots * 4ull * s.num_neurons;
     apps_.push_back(app.get());

@@ -23,6 +23,23 @@ PlacementResult place(const neural::Network& net, mesh::Machine& machine,
   PlacementResult result;
   result.by_population.resize(net.populations().size());
 
+  // A slice's neurons are numbered in the low kNeuronKeyBits of its keys.
+  // These errors reach a session's status (and so a wire client who
+  // described the net), so they carry the numbers to fix it with.
+  constexpr std::uint32_t kMaxSlice = std::uint32_t{1} << kNeuronKeyBits;
+  for (const neural::Population& pop : net.populations()) {
+    const std::uint32_t widest = std::min(cfg.neurons_per_core, pop.size);
+    if (widest > kMaxSlice) {
+      result.fits = false;
+      result.error = "population '" + pop.name + "' needs " +
+                     std::to_string(widest) + "-neuron slices at " +
+                     std::to_string(cfg.neurons_per_core) +
+                     " neurons_per_core, but the key layout holds " +
+                     std::to_string(kMaxSlice) + " neurons per slice";
+      return result;
+    }
+  }
+
   // Enumerate every usable application core in machine scan order.
   struct FreeCore {
     CoreId id;
@@ -76,7 +93,18 @@ PlacementResult place(const neural::Network& net, mesh::Machine& machine,
           std::min(cfg.neurons_per_core, pop.size - placed);
       const std::optional<CoreId> core = next_core();
       if (!core.has_value()) {
+        std::uint64_t required = 0;
+        for (const neural::Population& p : net.populations()) {
+          required += (static_cast<std::uint64_t>(p.size) +
+                       cfg.neurons_per_core - 1) /
+                      cfg.neurons_per_core;
+        }
         result.fits = false;
+        result.error = "network does not fit on the machine: " +
+                       std::to_string(net.total_neurons()) + " neurons need " +
+                       std::to_string(required) + " cores at " +
+                       std::to_string(cfg.neurons_per_core) +
+                       " neurons_per_core";
         return result;
       }
       Slice s;

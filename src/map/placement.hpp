@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -45,12 +46,19 @@ struct PlacementResult {
   std::vector<std::vector<std::size_t>> by_population;
   std::size_t cores_used = 0;
   std::size_t chips_used = 0;
-  bool fits = true;  // false when the machine ran out of cores
+  /// False when the net cannot be placed; `error` then says why, with the
+  /// numbers a client needs to resize the net or the machine.
+  bool fits = true;
+  std::string error;
 };
 
 /// Cores on `c` available to applications (everything but the monitor).
 std::vector<CoreIndex> app_cores(const chip::Chip& c);
 
+/// Cuts every population into slices of at most cfg.neurons_per_core
+/// neurons, one slice per core.  Refuses a slice wider than the key layout
+/// (1 << kNeuronKeyBits neurons), whose upper neurons would send the next
+/// slice's keys, and a net that needs more cores than the machine has.
 PlacementResult place(const neural::Network& net, mesh::Machine& machine,
                       const MapperConfig& cfg);
 

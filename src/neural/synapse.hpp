@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/fixed_point.hpp"
@@ -43,15 +44,18 @@ struct Synapse {
 /// supports.
 inline constexpr std::uint8_t kMaxDelayTicks = 15;
 
+/// One synaptic row: a run of its core's synapse array, with the row's
+/// STDP state beside it.
 struct SynapticRow {
-  std::vector<Synapse> synapses;
-  /// Any synapse in the row is plastic => the row is written back after
-  /// processing (§5.3).
-  bool plastic = false;
+  /// The row's synapses, in the order the loader generated them.
+  std::span<Synapse> synapses;
   /// The tick of the previous pre-synaptic spike that fetched this row
   /// (pre-event history for the deferred STDP rule).
   std::uint32_t last_pre_tick = 0;
   bool has_fired_before = false;
+  /// Any synapse in the row is plastic => the row is written back after
+  /// processing (§5.3).
+  bool plastic = false;
 
   /// DMA size: one header word plus one 32-bit word per synapse.
   std::uint32_t bytes() const {
@@ -59,36 +63,34 @@ struct SynapticRow {
   }
 };
 
+/// One synapse as the loader generates it: the AER key of its source
+/// neuron, and the synapse.
+struct StagedSynapse {
+  RoutingKey key = 0;
+  Synapse synapse;
+};
+
 /// All rows resident on one core, found by the source neuron's AER key
 /// through the master population table of §5.3: a sorted table of the
 /// source slices (key >> kNeuronKeyBits) that project to this core is
-/// binary-searched, the matching entry's dense per-neuron index points into
-/// a flat vector of rows.  Only row_for() grows the table; looking up any
-/// other key misses.  (Physically the rows live in the node's shared SDRAM;
-/// the table keeps the functional content while chip::Sdram accounts the
-/// space.)
+/// binary-searched, and the matching entry's range of one flat per-neuron
+/// index gives the row.  Every row is a run in one contiguous synapse
+/// array.  The store is built once, from the core's staged synapses;
+/// looking up any key it was not built with misses.  (Physically the rows
+/// live in the node's shared SDRAM; the table keeps the functional content
+/// while chip::Sdram accounts the space.)
 class RowStore {
  public:
-  /// The row of `key`, created empty on first use.  The reference is
-  /// invalidated by the next row_for().
-  SynapticRow& row_for(RoutingKey key) {
-    const RoutingKey slice = key >> kNeuronKeyBits;
-    const auto it = std::lower_bound(slices_.begin(), slices_.end(), slice);
-    const auto at_slice = static_cast<std::size_t>(it - slices_.begin());
-    if (it == slices_.end() || *it != slice) {
-      slices_.insert(it, slice);
-      index_.emplace(index_.begin() + static_cast<std::ptrdiff_t>(at_slice));
-    }
-    std::vector<std::uint32_t>& neurons = index_[at_slice];
-    const RoutingKey neuron = key & ~kSliceKeyMask;
-    if (neuron >= neurons.size()) neurons.resize(neuron + 1, kNoRow);
-    std::uint32_t& at = neurons[neuron];
-    if (at == kNoRow) {
-      at = static_cast<std::uint32_t>(rows_.size());
-      rows_.emplace_back();
-    }
-    return rows_[at];
-  }
+  /// A store with no rows.
+  RowStore() = default;
+
+  /// Builds the rows of `staged`, the synapses aimed at this core in the
+  /// order they were generated.  Each row keeps its synapses in that order.
+  explicit RowStore(std::span<const StagedSynapse> staged);
+
+  // Rows view synapses_, so a copy's rows would view the original's.
+  RowStore(const RowStore&) = delete;
+  RowStore& operator=(const RowStore&) = delete;
 
   const SynapticRow* find(RoutingKey key) const {
     const std::uint32_t at = lookup(key);
@@ -106,10 +108,10 @@ class RowStore {
   /// Master population table entries: the source slices with a row here.
   std::size_t num_slices() const { return slices_.size(); }
 
+  /// The rows' DMA sizes, summed: a header word per row and a word per
+  /// synapse.
   std::uint64_t total_bytes() const {
-    std::uint64_t total = 0;
-    for (const SynapticRow& row : rows_) total += row.bytes();
-    return total;
+    return 4ull * rows_.size() + 4ull * synapses_.size();
   }
 
  private:
@@ -120,18 +122,22 @@ class RowStore {
     const RoutingKey slice = key >> kNeuronKeyBits;
     const auto it = std::lower_bound(slices_.begin(), slices_.end(), slice);
     if (it == slices_.end() || *it != slice) return kNoRow;
-    const std::vector<std::uint32_t>& neurons =
-        index_[static_cast<std::size_t>(it - slices_.begin())];
-    const RoutingKey neuron = key & ~kSliceKeyMask;
-    return neuron < neurons.size() ? neurons[neuron] : kNoRow;
+    const auto i = static_cast<std::size_t>(it - slices_.begin());
+    const std::size_t at = first_[i] + (key & ~kSliceKeyMask);
+    return at < first_[i + 1] ? row_of_[at] : kNoRow;
   }
 
   /// The source slices with rows here, ascending.
   std::vector<RoutingKey> slices_;
-  /// index_[i][neuron] is the row of that neuron of source slice
-  /// slices_[i], or kNoRow.
-  std::vector<std::vector<std::uint32_t>> index_;
+  /// Source slice slices_[i]'s neurons own row_of_[first_[i]] up to
+  /// row_of_[first_[i + 1]]: one entry per neuron up to the highest with a
+  /// row.
+  std::vector<std::uint32_t> first_;
+  /// Per source neuron, the index of its row in rows_, or kNoRow.
+  std::vector<std::uint32_t> row_of_;
   std::vector<SynapticRow> rows_;
+  /// Every row's synapses, row after row.
+  std::vector<Synapse> synapses_;
 };
 
 }  // namespace spinn::neural

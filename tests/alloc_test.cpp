@@ -122,6 +122,22 @@ neural::Network longrun_net() {
   return net;
 }
 
+TEST(Allocation, LoadAllocatesPerSliceNotPerRow) {
+  // Each slice's synapses are staged in one growing buffer and its rows
+  // built as one flat store, so a load's allocations follow its 24 slices
+  // (about 1.4k in all), not its 54k rows: a vector per row cost 130k.
+  System sys(longrun_config());
+  const neural::Network net = longrun_net();
+  const std::uint64_t before = news();
+  const map::LoadReport report = sys.load(net);
+  const std::uint64_t allocations = news() - before;
+  ASSERT_TRUE(report.ok) << report.error;
+  const std::size_t slices = report.placement.slices.size();
+  // The rows must outnumber the bound for it to mean anything.
+  ASSERT_GT(report.total_rows, 1000u * slices);
+  EXPECT_LE(allocations, 100u * slices);
+}
+
 TEST(Allocation, WarmSerialRunAllocatesNothingPerPacket) {
   System sys(longrun_config());
   ASSERT_TRUE(sys.load(longrun_net()).ok);

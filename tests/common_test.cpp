@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -101,6 +102,42 @@ TEST(Rng, ChanceExtremes) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
+  }
+}
+
+TEST(Rng, ChanceFailuresReplaysAChanceLoop) {
+  // The scan must be the loop of chance() calls it replaces, draw for
+  // draw: the same count, and the generator left where the loop leaves it.
+  // Fifty calls in a row start scans right after a success.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double p : {0.0, 1.0, -0.5, 1.5, nan, 0x1.0p-53, 1e-6, 0.005,
+                         0.02, 0.5, 1.0 - 0x1.0p-53}) {
+    for (const std::uint64_t limit : {0u, 1u, 7u, 10000u}) {
+      Rng scan(21);
+      Rng loop(21);
+      for (int call = 0; call < 50; ++call) {
+        std::uint64_t failures = 0;
+        while (failures < limit && !loop.chance(p)) ++failures;
+        ASSERT_EQ(scan.chance_failures(p, limit), failures)
+            << "p=" << p << " limit=" << limit << " call=" << call;
+      }
+      EXPECT_EQ(scan.next(), loop.next()) << "p=" << p << " limit=" << limit;
+    }
+  }
+}
+
+TEST(Rng, ChanceFailuresThresholdIsExactAtTheDraw) {
+  // p equal to a draw's own uniform() value fails that trial (u < p is
+  // false); the next double above it succeeds.
+  Rng peek(5);
+  for (int i = 0; i < 100; ++i) {
+    Rng scan = peek;
+    const double u = peek.uniform();
+    if (u == 0.0) continue;
+    Rng at = scan;
+    EXPECT_EQ(at.chance_failures(u, 1), 1u) << "u=" << u;
+    EXPECT_EQ(scan.chance_failures(std::nextafter(u, 1.0), 1), 0u)
+        << "u=" << u;
   }
 }
 

@@ -3,8 +3,10 @@
 // key/mask table minimisation.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "core/system.hpp"
 #include "map/loader.hpp"
@@ -437,6 +439,127 @@ TEST(Loader, DrawsEachSynapseDelayThenWeight) {
           << "i=" << i << " j=" << j;
     }
   }
+
+  // Fixed-probability projections onto a population of three slices: a
+  // plain one, a self-projection without self connections, p = 0 and
+  // p = 1.  Replayed pair by pair, every candidate takes one chance()
+  // trial (the self pair none), and every synapse then its delay and its
+  // weight draw.  x's rows hold the p = 0.4 synapses, then the p = 1 ones.
+  SystemConfig sliced_cfg = cfg;
+  sliced_cfg.mapper.neurons_per_core = 5;
+  System sliced(sliced_cfg);
+  neural::Network fp;
+  const auto x = fp.add_lif("x", 4);
+  const auto y = fp.add_lif("y", 12);  // slices of 5, 5 and 2
+  const auto z = fp.add_lif("z", 3);
+  using neural::Connector;
+  fp.connect(x, y, Connector::fixed_probability(0.4), weight, delay);
+  fp.connect(y, y, Connector::fixed_probability(0.5), weight, delay);
+  fp.connect(z, y, Connector::fixed_probability(0.0), weight, delay);
+  fp.connect(x, y, Connector::fixed_probability(1.0), weight, delay);
+  const LoadReport fp_report = sliced.load(fp);
+  ASSERT_TRUE(fp_report.ok) << fp_report.error;
+  const PlacementResult& fp_placement = fp_report.placement;
+  ASSERT_EQ(fp_placement.by_population[y].size(), 3u);
+
+  // The replay's rows, keyed by (target slice's key base, source key).
+  std::map<std::pair<RoutingKey, RoutingKey>, std::vector<neural::Synapse>>
+      expected;
+  Rng stream(sliced_cfg.machine.seed ^ 0x10adD00Dull);
+  std::uint64_t total = 0;
+  for (const neural::Projection& proj : fp.projections()) {
+    const std::uint32_t pre_size = fp.population(proj.pre).size;
+    const std::uint32_t post_size = fp.population(proj.post).size;
+    for (std::uint32_t i = 0; i < pre_size; ++i) {
+      const Slice& ps =
+          fp_placement.slices[*slice_of(fp_placement, proj.pre, i)];
+      for (std::uint32_t j = 0; j < post_size; ++j) {
+        if (proj.pre == proj.post && i == j) continue;
+        if (!stream.chance(proj.connector.probability)) continue;
+        const double d_ms = delay.sample(stream);
+        const double w = weight.sample(stream);
+        const Slice& qs =
+            fp_placement.slices[*slice_of(fp_placement, proj.post, j)];
+        neural::Synapse syn;
+        syn.target = static_cast<std::uint16_t>(j - qs.first_neuron);
+        syn.delay = static_cast<std::uint8_t>(d_ms + 0.5);
+        syn.weight_raw = neural::Synapse::pack_weight(w);
+        expected[{qs.key_base, ps.key_base + (i - ps.first_neuron)}]
+            .push_back(syn);
+        ++total;
+      }
+    }
+  }
+  EXPECT_EQ(fp_report.total_synapses, total);
+  for (auto* app : sliced.apps()) {
+    std::size_t rows = 0;
+    for (const auto& [at, synapses] : expected) {
+      if (at.first != app->config().key_base) continue;
+      ++rows;
+      const neural::SynapticRow* row = app->rows().find(at.second);
+      ASSERT_NE(row, nullptr) << "key=" << at.second;
+      ASSERT_EQ(row->synapses.size(), synapses.size()) << "key=" << at.second;
+      for (std::size_t k = 0; k < synapses.size(); ++k) {
+        EXPECT_EQ(row->synapses[k].target, synapses[k].target)
+            << "key=" << at.second << " k=" << k;
+        EXPECT_EQ(row->synapses[k].delay, synapses[k].delay)
+            << "key=" << at.second << " k=" << k;
+        EXPECT_EQ(row->synapses[k].weight_raw, synapses[k].weight_raw)
+            << "key=" << at.second << " k=" << k;
+      }
+    }
+    EXPECT_EQ(app->rows().num_rows(), rows);
+  }
+  // p = 1 connected every pair, after the p = 0.4 synapses of each row.
+  for (const std::size_t q : fp_placement.by_population[y]) {
+    const Slice& qs = fp_placement.slices[q];
+    const Slice& xs = fp_placement.slices[fp_placement.by_population[x][0]];
+    const auto& row = expected.at({qs.key_base, xs.key_base});
+    ASSERT_GE(row.size(), qs.num_neurons);
+    for (std::uint32_t j = 0; j < qs.num_neurons; ++j) {
+      EXPECT_EQ(row[row.size() - qs.num_neurons + j].target, j);
+    }
+  }
+}
+
+// Slice k's keys start at k << kNeuronKeyBits, so neuron 2048 of a wider
+// slice would send slice k + 1's first key, and its spikes would reach the
+// wrong rows or none.  The load refuses such a slice, saying why.
+TEST(Loader, RefusesSlicesWiderThanTheKeyLayout) {
+  neural::Network net;
+  const auto src = net.add_poisson("src", 3000, 10.0);
+  const auto dst = net.add_lif("dst", 10);
+  net.connect(src, dst, neural::Connector::all_to_all(),
+              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  MapperConfig cfg;
+  cfg.neurons_per_core = 4000;
+  {
+    sim::Simulator sim(1);
+    mesh::Machine m(sim, machine_config());
+    Loader loader(cfg);
+    Rng rng(1);
+    const LoadReport report = loader.load(net, m, nullptr, rng);
+    EXPECT_FALSE(report.ok);
+    EXPECT_FALSE(report.placement.fits);
+    EXPECT_NE(report.error.find("'src' needs 3000-neuron slices at 4000 "
+                                "neurons_per_core"),
+              std::string::npos)
+        << report.error;
+    EXPECT_NE(report.error.find("holds 2048 neurons per slice"),
+              std::string::npos)
+        << report.error;
+  }
+  // The widest slice the layout holds loads, every source with its row.
+  cfg.neurons_per_core = RoutingKey{1} << kNeuronKeyBits;
+  sim::Simulator sim(1);
+  mesh::Machine m(sim, machine_config());
+  Loader loader(cfg);
+  Rng rng(1);
+  const LoadReport report = loader.load(net, m, nullptr, rng);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.placement.slices.size(), 3u);  // 2048 + 952 + 10
+  EXPECT_EQ(report.total_rows, 3000u);
+  EXPECT_EQ(report.total_synapses, 30000u);
 }
 
 }  // namespace

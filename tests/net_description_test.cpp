@@ -778,6 +778,36 @@ TEST(NetNegative, UnplaceableNetFailsTheSessionCleanly) {
   EXPECT_EQ(client.request("ping"), "ok");
 }
 
+// neurons_per_core accepts up to 2^20 on the wire, but a slice's neurons are
+// numbered in 11 key bits: a net that would need a wider slice fails its
+// session with the placer's quantified error, instead of loading with the
+// upper neurons' spikes sent under the next slice's keys.
+TEST(NetNegative, SliceWiderThanTheKeyLayoutFailsTheSession) {
+  NetConfig cfg;
+  cfg.session.workers = 1;
+  NetServer srv(cfg);
+  Client client(srv.port());
+  NetBuilder b;
+  b.poisson("src", 3000, 5.0);
+  b.lif("dst", 10);
+  b.project("src", "dst", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  std::vector<std::string> lines = b.lines();
+  lines.push_back("open app=@ seed=1 neurons_per_core=4000");
+  lines.push_back("wait $");
+  lines.push_back("status $");
+  const auto blocks = Client::split_response(client.batch(lines));
+  ASSERT_EQ(blocks.size(), 4u);
+  EXPECT_EQ(blocks[1].rfind("ok id=", 0), 0u) << blocks[1];
+  EXPECT_NE(blocks[3].find("state=failed"), std::string::npos) << blocks[3];
+  EXPECT_NE(blocks[3].find("3000-neuron slices at 4000 neurons_per_core"),
+            std::string::npos)
+      << blocks[3];
+  EXPECT_NE(blocks[3].find("2048 neurons per slice"), std::string::npos)
+      << blocks[3];
+  EXPECT_EQ(client.request("ping"), "ok");
+}
+
 // The net block's vital-signs response reports what admission will charge.
 TEST(NetDescription, NetBlockReportsVitalSigns) {
   NetServer srv;

@@ -207,15 +207,22 @@ TEST(Synapse, InhibitoryWeightsAreNegative) {
 }
 
 TEST(Synapse, RowBytesMatchWireFormat) {
+  std::vector<Synapse> synapses(10);
   SynapticRow row;
-  row.synapses.resize(10);
+  row.synapses = synapses;
   EXPECT_EQ(row.bytes(), 4u + 40u);
 }
 
+/// Appends `n` synapses from `key`.
+void stage(std::vector<StagedSynapse>& staged, RoutingKey key, std::size_t n) {
+  staged.insert(staged.end(), n, StagedSynapse{key, Synapse{}});
+}
+
 TEST(RowStore, FindAndAccounting) {
-  RowStore store;
-  store.row_for(100).synapses.resize(3);
-  store.row_for(200).synapses.resize(5);
+  std::vector<StagedSynapse> staged;
+  stage(staged, 100, 3);
+  stage(staged, 200, 5);
+  const RowStore store(staged);
   EXPECT_EQ(store.num_rows(), 2u);
   ASSERT_NE(store.find(100), nullptr);
   EXPECT_EQ(store.find(100)->synapses.size(), 3u);
@@ -224,12 +231,13 @@ TEST(RowStore, FindAndAccounting) {
 }
 
 TEST(RowStore, MasterTableLookupsMissWithoutGrowing) {
-  RowStore store;
   const RoutingKey slice3 = RoutingKey{3} << kNeuronKeyBits;
   const RoutingKey slice4 = RoutingKey{4} << kNeuronKeyBits;
-  store.row_for(slice3 + 5).synapses.resize(2);
-  store.row_for(slice3 + 1).synapses.resize(1);
-  store.row_for(slice4 + 5).synapses.resize(3);  // same neuron, next slice
+  std::vector<StagedSynapse> staged;
+  stage(staged, slice3 + 5, 2);
+  stage(staged, slice3 + 1, 1);
+  stage(staged, slice4 + 5, 3);  // same neuron, next slice
+  RowStore store(staged);
   // A hit and misses within one source slice: between rows and past the
   // slice's last indexed neuron.
   ASSERT_NE(store.find(slice3 + 5), nullptr);
@@ -241,26 +249,27 @@ TEST(RowStore, MasterTableLookupsMissWithoutGrowing) {
   EXPECT_EQ(store.find(RoutingKey{1} << kNeuronKeyBits), nullptr);
   EXPECT_EQ(store.find(RoutingKey{5} << kNeuronKeyBits), nullptr);
   EXPECT_EQ(store.find_mutable(0xFFFFFFFFu), nullptr);
-  // Lookups never add rows; row_for on a known key returns its row.
+  // Lookups never add rows; both lookups of a known key reach its row.
   EXPECT_EQ(store.num_rows(), 3u);
-  EXPECT_EQ(&store.row_for(slice3 + 5), store.find(slice3 + 5));
+  EXPECT_EQ(store.find_mutable(slice3 + 5), store.find(slice3 + 5));
   EXPECT_EQ(store.num_rows(), 3u);
   EXPECT_EQ(store.total_bytes(), (4 + 8) + (4 + 4) + (4 + 12u));
 }
 
 TEST(RowStore, TableHoldsOnlyTheSourceSlicesThatProjectHere) {
-  RowStore store;
   // One row from a high slice number takes one table entry, not one per
   // slice below it.
   const RoutingKey high = (RoutingKey{4095} << kNeuronKeyBits) + 63;
-  store.row_for(high).synapses.resize(1);
-  EXPECT_EQ(store.num_slices(), 1u);
+  std::vector<StagedSynapse> staged;
+  stage(staged, high, 1);
+  EXPECT_EQ(RowStore(staged).num_slices(), 1u);
   // Slices arriving out of order, including the highest the key layout
   // allows, each keep their rows.
   const RoutingKey low = (RoutingKey{7} << kNeuronKeyBits) + 2;
   const RoutingKey top = kSliceKeyMask;
-  store.row_for(top).synapses.resize(3);
-  store.row_for(low).synapses.resize(2);
+  stage(staged, top, 3);
+  stage(staged, low, 2);
+  const RowStore store(staged);
   EXPECT_EQ(store.num_slices(), 3u);
   EXPECT_EQ(store.num_rows(), 3u);
   EXPECT_EQ(store.find(high)->synapses.size(), 1u);
@@ -268,6 +277,40 @@ TEST(RowStore, TableHoldsOnlyTheSourceSlicesThatProjectHere) {
   EXPECT_EQ(store.find(top)->synapses.size(), 3u);
   EXPECT_EQ(store.find(RoutingKey{100} << kNeuronKeyBits), nullptr);
   EXPECT_EQ(store.num_slices(), 3u);
+}
+
+TEST(RowStore, RowKeepsGenerationOrderAcrossInterleavedProjections) {
+  // Two projections from one pre population onto one post population:
+  // the second's synapses for a neuron arrive after every row of the first
+  // was staged, so the row's synapses are not contiguous in the stage.
+  const RoutingKey pre = RoutingKey{2} << kNeuronKeyBits;
+  std::vector<StagedSynapse> staged;
+  for (int proj = 0; proj < 2; ++proj) {
+    for (RoutingKey n = 0; n < 3; ++n) {
+      for (std::uint16_t t = 0; t < 2; ++t) {
+        StagedSynapse s;
+        s.key = pre + n;
+        s.synapse.target = static_cast<std::uint16_t>(10 * proj + t);
+        s.synapse.plastic = proj == 1 && n == 1;
+        staged.push_back(s);
+      }
+    }
+  }
+  const RowStore store(staged);
+  EXPECT_EQ(store.num_rows(), 3u);
+  EXPECT_EQ(store.num_slices(), 1u);
+  for (RoutingKey n = 0; n < 3; ++n) {
+    const SynapticRow* row = store.find(pre + n);
+    ASSERT_NE(row, nullptr);
+    ASSERT_EQ(row->synapses.size(), 4u);
+    EXPECT_EQ(row->synapses[0].target, 0u);
+    EXPECT_EQ(row->synapses[1].target, 1u);
+    EXPECT_EQ(row->synapses[2].target, 10u);
+    EXPECT_EQ(row->synapses[3].target, 11u);
+    // A row is plastic when any of its synapses is.
+    EXPECT_EQ(row->plastic, n == 1);
+  }
+  EXPECT_EQ(store.total_bytes(), 3u * (4 + 16));
 }
 
 // ---- network builder ---------------------------------------------------------
