@@ -52,7 +52,7 @@ RunResult run_case(bool emergency_enabled, bool monitor_reroutes,
       {key, ~0u, router::Route::to_core(1)});
   // (3,3) and (4,3) default-route the straight line.
 
-  sim::Histogram latency(0.0, 1e6, 200);  // ns
+  obs::Histogram latency(0, 1000000, 200);  // ns
   auto probe = std::make_unique<core::LatencyProbe>(&latency);
   core::LatencyProbe* probe_ptr = probe.get();
   m.chip_at({5, 3}).core(1).load_program(std::move(probe));
@@ -107,8 +107,12 @@ RunResult run_case(bool emergency_enabled, bool monitor_reroutes,
   result.delivered = probe_ptr->received();
   result.emergency = totals.emergency_first_leg;
   result.dropped = totals.dropped;
-  result.mean_latency_us = latency.summary().mean() / 1000.0;
-  result.p99_latency_us = latency.percentile(0.99) / 1000.0;
+  result.mean_latency_us =
+      latency.count() == 0 ? 0.0
+                           : static_cast<double>(latency.sum()) /
+                                 static_cast<double>(latency.count()) / 1000.0;
+  result.p99_latency_us =
+      static_cast<double>(latency.percentile(0.99)) / 1000.0;
   return result;
 }
 

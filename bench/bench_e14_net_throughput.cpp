@@ -296,16 +296,14 @@ int main(int argc, char** argv) {
   e13_cfg.max_sessions = 16;
   server::SessionServer baseline(e13_cfg);
 
-  // The system under test: single-threaded serving — the reactor drives
-  // the scheduler itself, so the socket path pays no cross-thread handoff
-  // (the winning shape on few-core hosts; see NetConfig::reactor_drives).
-  // The coarse slice drops per-quantum scheduling overhead; fairness
-  // across connections comes from the reactor's drive budget rather than
-  // sub-session slicing, so the worker model's 1 ms default is not needed
-  // here.
+  // The system under test: one reactor multiplexing every connection in
+  // front of two scheduler workers — the reactor-scaling section's r1
+  // shape.  The coarse slice (a session's whole run in one quantum) drops
+  // per-quantum scheduling overhead; these sessions are too short to need
+  // the 1 ms default's interleaving.
   net::NetConfig cfg;
-  cfg.session.workers = 0;
-  cfg.reactor_drives = true;
+  cfg.reactors = 1;
+  cfg.session.workers = 2;
   cfg.session.slice = kBioPerSession;
   cfg.session.max_sessions = 64;  // 8 conns × depth 4 all in flight
   net::NetServer srv(cfg);
@@ -517,12 +515,11 @@ int main(int argc, char** argv) {
     if (spikes == 0) std::printf("  WARNING: round produced no spikes\n");
   }
 
-  // Reactor scaling: the same c8d4 workload against a worker-model server
-  // (reactor_drives off, so >1 reactor is legal) at reactors=1 vs
-  // reactors=4.  On a single-core host the two land within noise of each
-  // other — the point the trajectory records is the *cost* of sharding
-  // (per-reactor epoll sets, handoff, counter shards), which must stay
-  // near zero so many-core hosts get the upside for free.
+  // Reactor scaling: the same c8d4 workload on a fresh server at
+  // reactors=1 vs reactors=4.  On a single-core host the two land within
+  // noise of each other — the point the trajectory records is the *cost*
+  // of sharding (per-reactor epoll sets, handoff), which must stay near
+  // zero so many-core hosts get the upside for free.
   double rate_r1 = 0.0;
   double rate_r4 = 0.0;
   double wirenet_r1 = 0.0;

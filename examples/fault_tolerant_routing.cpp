@@ -25,7 +25,7 @@ int main() {
   machine.chip_at({6, 4}).router().mc_table().add(
       {key, ~0u, router::Route::to_core(1)});
 
-  sim::Histogram latency(0, 1e6, 100);
+  obs::Histogram latency(0, 1000000, 100);  // ns
   auto probe = std::make_unique<core::LatencyProbe>(&latency);
   auto* probe_ptr = probe.get();
   machine.chip_at({6, 4}).core(1).load_program(std::move(probe));
@@ -86,8 +86,10 @@ int main() {
       static_cast<double>(source_ptr->sent());
   std::printf("\nfinal delivery: %.2f%%  (mean latency %.2f us, p99 %.2f "
               "us)\n",
-              delivery, latency.summary().mean() / 1e3,
-              latency.percentile(0.99) / 1e3);
+              delivery,
+              static_cast<double>(latency.sum()) /
+                  static_cast<double>(latency.count()) / 1e3,
+              static_cast<double>(latency.percentile(0.99)) / 1e3);
   std::printf("Every packet that met the dead link took the two-hop "
               "triangle detour (NE then S) — \"the Router\nwill invoke "
               "emergency routing to redirect packets ... around the two "

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "chip/core.hpp"
-#include "sim/stats.hpp"
+#include "obs/registry.hpp"
 
 namespace spinn::core {
 
@@ -43,26 +43,30 @@ class TrafficSource final : public chip::CoreProgram {
   std::uint64_t sent_ = 0;
 };
 
-/// Records end-to-end latency (launch -> core delivery) of every packet it
-/// receives into a shared histogram.
+/// Records end-to-end latency (launch -> core delivery, ns) of every
+/// packet it receives into a shared histogram, and keeps the exact maximum
+/// (the histogram's top bin only bounds it).
 class LatencyProbe final : public chip::CoreProgram {
  public:
-  explicit LatencyProbe(sim::Histogram* histogram)
+  explicit LatencyProbe(obs::Histogram* histogram)
       : histogram_(histogram) {}
 
   std::uint64_t on_packet(chip::CoreApi& api,
                           const router::Packet& p) override {
-    if (histogram_ != nullptr) {
-      histogram_->add(static_cast<double>(api.now() - p.launched_at));
-    }
+    const TimeNs latency = api.now() - p.launched_at;
+    if (histogram_ != nullptr) histogram_->observe(latency);
+    if (latency > max_) max_ = latency;
     ++received_;
     return 25;
   }
 
   std::uint64_t received() const { return received_; }
+  /// The largest latency seen; 0 before the first packet.
+  TimeNs max() const { return max_; }
 
  private:
-  sim::Histogram* histogram_;
+  obs::Histogram* histogram_;
+  TimeNs max_ = 0;
   std::uint64_t received_ = 0;
 };
 

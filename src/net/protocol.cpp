@@ -1,5 +1,6 @@
 #include "net/protocol.hpp"
 
+#include <array>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
@@ -51,6 +52,35 @@ std::vector<std::string> tokenize(const std::string& line) {
     if (i > start) tokens.emplace_back(line, start, i - start);
   }
   return tokens;
+}
+
+/// `text` cut at every `sep`: n separators give n + 1 fields, empty ones
+/// included (`a,,b` is three fields, `a,` two).
+std::vector<std::string> split_fields(const std::string& text, char sep) {
+  std::vector<std::string> fields;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t at = text.find(sep, start);
+    fields.push_back(text.substr(
+        start, (at == std::string::npos ? text.size() : at) - start));
+    if (at == std::string::npos) break;
+    start = at + 1;
+  }
+  return fields;
+}
+
+/// A `key=value` option token, split at its first '='.  A token with no
+/// '=' is false, with the error every grammar answers for it in *error.
+bool split_kv(const std::string& token, std::string* key, std::string* value,
+              std::string* error) {
+  const std::size_t eq = token.find('=');
+  if (eq == std::string::npos) {
+    *error = "expected key=value, got '" + token + "'";
+    return false;
+  }
+  *key = token.substr(0, eq);
+  *value = token.substr(eq + 1);
+  return true;
 }
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
@@ -105,33 +135,19 @@ bool parse_schedule_tok(const std::string& text,
                         std::vector<std::vector<std::uint32_t>>* out,
                         std::string* why) {
   out->clear();
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t semi = text.find(';', start);
-    const std::string group =
-        text.substr(start, (semi == std::string::npos ? text.size() : semi) -
-                               start);
+  for (const std::string& group : split_fields(text, ';')) {
     std::vector<std::uint32_t> train;
     if (!group.empty()) {
-      std::size_t tick_start = 0;
-      for (;;) {
-        const std::size_t comma = group.find(',', tick_start);
-        const std::string tok = group.substr(
-            tick_start,
-            (comma == std::string::npos ? group.size() : comma) - tick_start);
+      for (const std::string& tok : split_fields(group, ',')) {
         std::uint64_t tick = 0;
         if (!server::parse_u64_strict(tok, neural::kMaxScheduleTick, &tick)) {
           *why = "bad schedule tick '" + tok + "'";
           return false;
         }
         train.push_back(static_cast<std::uint32_t>(tick));
-        if (comma == std::string::npos) break;
-        tick_start = comma + 1;
       }
     }
     out->push_back(std::move(train));
-    if (semi == std::string::npos) break;
-    start = semi + 1;
   }
   return true;
 }
@@ -188,20 +204,6 @@ std::string format_status(const server::SessionStatus& st) {
 
 // ---- the `fault` verb grammar ----------------------------------------------
 
-/// `a,b,...` — the comma-joined coordinate form of fault targets.
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = text.find(',', start);
-    fields.push_back(text.substr(
-        start, (comma == std::string::npos ? text.size() : comma) - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return fields;
-}
-
 /// The six wire direction tokens, matching to_string(LinkDir).
 bool parse_dir_tok(const std::string& text, LinkDir* out) {
   if (text == "E") *out = LinkDir::East;
@@ -218,7 +220,7 @@ bool parse_dir_tok(const std::string& text, LinkDir* out) {
 /// to interpret (core index or link direction).
 bool parse_chip_tok(const std::string& text, std::size_t want_fields,
                     ChipCoord* chip, std::string* tail) {
-  const std::vector<std::string> fields = split_commas(text);
+  const std::vector<std::string> fields = split_fields(text, ',');
   if (fields.size() != want_fields) return false;
   std::uint64_t x = 0;
   std::uint64_t y = 0;
@@ -313,12 +315,10 @@ NetParser::Status NetParser::parse_pop(
     pd.schedule.assign(pd.size, {});  // default: silent trains
   }
   for (std::size_t i = 4; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return fail("expected key=value, got '" + tokens[i] + "'");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
+    std::string key;
+    std::string value;
+    std::string why;
+    if (!split_kv(tokens[i], &key, &value, &why)) return fail(why);
     const auto bad_number = [&]() {
       return fail("'" + key + "' expects a number, got '" + value + "'");
     };
@@ -360,7 +360,6 @@ NetParser::Status NetParser::parse_pop(
       if (!parse_f64_tok(value, &pd.rate_hz)) return bad_number();
     } else if (pd.model == neural::NeuronModel::SpikeSourceArray &&
                key == "sched") {
-      std::string why;
       if (!parse_schedule_tok(value, &pd.schedule, &why)) return fail(why);
       if (pd.schedule.size() != pd.size) {
         return fail("sched defines " + u64(pd.schedule.size()) +
@@ -420,12 +419,10 @@ NetParser::Status NetParser::parse_proj(
     return fail("unknown connector '" + conn + "' (all, one or prob=<p>)");
   }
   for (std::size_t i = 4; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return fail("expected key=value, got '" + tokens[i] + "'");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
+    std::string key;
+    std::string value;
+    std::string why;
+    if (!split_kv(tokens[i], &key, &value, &why)) return fail(why);
     if (key == "w") {
       if (!parse_dist_tok(value, &proj.weight)) {
         return fail("'w' expects <v> or <lo>:<hi>, got '" + value + "'");
@@ -449,16 +446,7 @@ NetParser::Status NetParser::parse_proj(
       }
     } else if (key == "stdp") {
       // a_plus,a_minus,window_ticks,w_max — presence enables plasticity.
-      std::size_t start = 0;
-      std::vector<std::string> fields;
-      for (;;) {
-        const std::size_t comma = value.find(',', start);
-        fields.push_back(value.substr(
-            start,
-            (comma == std::string::npos ? value.size() : comma) - start));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
+      const std::vector<std::string> fields = split_fields(value, ',');
       std::uint64_t window = 0;
       if (fields.size() != 4 ||
           !parse_f64_tok(fields[0], &proj.stdp.a_plus) ||
@@ -721,15 +709,10 @@ void Request::exec_open(const std::vector<std::string>& tokens) {
       spec.net_names = batch_names_;
       continue;
     }
-    const auto eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      batch_id_ = server::kInvalidSession;  // malformed open unbinds `$`
-      fail("expected key=value, got '" + tokens[i] + "'");
-      ++next_line_;
-      return;
-    }
-    if (!server::apply_kv(spec, tokens[i].substr(0, eq),
-                          tokens[i].substr(eq + 1), &error)) {
+    std::string key;
+    std::string value;
+    if (!split_kv(tokens[i], &key, &value, &error) ||
+        !server::apply_kv(spec, key, value, &error)) {
       batch_id_ = server::kInvalidSession;
       fail(error);
       ++next_line_;
@@ -818,14 +801,14 @@ void Request::exec_fault(server::SessionId id,
     return;
   }
   for (std::size_t i = 4; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      fail("expected key=value, got '" + tokens[i] + "'");
+    std::string key;
+    std::string value;
+    std::string why;
+    if (!split_kv(tokens[i], &key, &value, &why)) {
+      fail(why);
       ++next_line_;
       return;
     }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
     if (key == "at") {
       // `at=0` means "at the start of the run phase" (parse_run_ms itself
       // excludes zero, which is right for run durations but not here).
@@ -1002,16 +985,14 @@ bool Request::advance() {
   return true;
 }
 
-std::string format_metrics(const NetStats& net,
-                           const server::ServerStats& srv) {
-  // Two sections, one stability contract each: the derived `net.*` /
-  // `server.*` fields are pinned in this order (append-only, like
-  // `netstats`); the registry rows after them are sorted by name, so a new
-  // metric inserts without reordering what a client already parses.
-  // Scrapes arrive continuously (1 Hz pollers and worse), so the builder
-  // is deliberately allocation-light: string_view literals for the pinned
-  // rows, one reserve for the whole response, no per-row temporaries.
-  const std::pair<std::string_view, std::uint64_t> pinned[] = {
+namespace {
+
+using Row = std::pair<std::string_view, std::uint64_t>;
+
+/// The `net.*` rows in pinned order: `metrics` prints them as they are,
+/// `netstats` without the `net.` prefix.
+std::array<Row, 12> net_rows(const NetStats& net) {
+  return {{
       {"net.accepted", net.accepted},
       {"net.refused", net.refused},
       {"net.shed_slow", net.shed_slow},
@@ -1024,6 +1005,29 @@ std::string format_metrics(const NetStats& net,
       {"net.bytes_out", net.bytes_out},
       {"net.connections", net.connections},
       {"net.reactors", net.reactors},
+  }};
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char digits[20];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof digits, v);
+  (void)ec;  // u64 always fits 20 digits
+  out.append(digits, end);
+}
+
+}  // namespace
+
+std::string format_metrics(const NetStats& net,
+                           const server::ServerStats& srv) {
+  // Two sections, one stability contract each: the derived `net.*` /
+  // `server.*` fields are pinned in this order (append-only, like
+  // `netstats`); the registry rows after them are sorted by name, so a new
+  // metric inserts without reordering what a client already parses.
+  // Scrapes arrive continuously (1 Hz pollers and worse), so the builder
+  // is deliberately allocation-light: string_view literals for the pinned
+  // rows, one reserve for the whole response, no per-row temporaries.
+  const auto net_pinned = net_rows(net);
+  const Row server_pinned[] = {
       {"server.opened", srv.opened},
       {"server.rejected", srv.rejected},
       {"server.rejected_cost", srv.rejected_cost},
@@ -1038,27 +1042,43 @@ std::string format_metrics(const NetStats& net,
       {"server.engines.idle", srv.engines.idle},
   };
   const auto registry_rows = obs::Registry::global().rows();
-  const std::size_t total = std::size(pinned) + registry_rows.size();
+  const std::size_t total =
+      net_pinned.size() + std::size(server_pinned) + registry_rows.size();
   std::string out;
   out.reserve(16 + 40 * total);
-  char digits[20];
-  const auto append_u64 = [&digits, &out](std::uint64_t v) {
-    const auto [end, ec] =
-        std::to_chars(digits, digits + sizeof digits, v);
-    (void)ec;  // u64 always fits 20 digits
-    out.append(digits, end);
-  };
   out += "metrics ";
-  append_u64(total);
-  const auto append_row = [&](std::string_view name, std::uint64_t value) {
+  append_u64(out, total);
+  const auto append_row = [&out](std::string_view name, std::uint64_t value) {
     out += '\n';
     out += name;
     out += ' ';
-    append_u64(value);
+    append_u64(out, value);
   };
-  for (const auto& [name, value] : pinned) append_row(name, value);
+  for (const auto& [name, value] : net_pinned) append_row(name, value);
+  for (const auto& [name, value] : server_pinned) append_row(name, value);
   for (const auto& [name, value] : registry_rows) append_row(name, value);
   return out;
+}
+
+TransportVerb transport_verb(const std::string& frame, std::string* line) {
+  // Most frames cost a look at their first word; only a transport verb's
+  // frame is cut by Request's own rule (split_lines, then tokenize).
+  const std::size_t begin = frame.find_first_not_of(" \t");
+  if (begin == std::string::npos) return TransportVerb::kNone;
+  const std::string_view word = std::string_view(frame).substr(
+      begin, frame.find_first_of(" \t\r\n", begin) - begin);
+  if (word != "netstats" && word != "metrics" && word != "trace") {
+    return TransportVerb::kNone;
+  }
+  std::vector<std::string> lines = split_lines(frame);
+  if (lines.size() != 1) return TransportVerb::kNone;  // a batch
+  const std::vector<std::string> tokens = tokenize(lines[0]);
+  *line = std::move(lines[0]);
+  if (tokens[0] == "trace") return TransportVerb::kTrace;
+  if (tokens.size() != 1) return TransportVerb::kNone;  // takes no argument
+  if (tokens[0] == "netstats") return TransportVerb::kNetstats;
+  if (tokens[0] == "metrics") return TransportVerb::kMetrics;
+  return TransportVerb::kNone;
 }
 
 std::string handle_trace(const std::string& line, bool allow_trace) {
@@ -1079,18 +1099,14 @@ std::string handle_trace(const std::string& line, bool allow_trace) {
 }
 
 std::string format_netstats(const NetStats& s) {
-  return "net accepted=" + std::to_string(s.accepted) +
-         " refused=" + std::to_string(s.refused) +
-         " shed_slow=" + std::to_string(s.shed_slow) +
-         " shed_flood=" + std::to_string(s.shed_flood) +
-         " frames_in=" + std::to_string(s.frames_in) +
-         " frames_out=" + std::to_string(s.frames_out) +
-         " batches=" + std::to_string(s.batches) +
-         " faults=" + std::to_string(s.faults) +
-         " bytes_in=" + std::to_string(s.bytes_in) +
-         " bytes_out=" + std::to_string(s.bytes_out) +
-         " connections=" + std::to_string(s.connections) +
-         " reactors=" + std::to_string(s.reactors);
+  std::string out = "net";
+  for (const auto& [name, value] : net_rows(s)) {
+    out += ' ';
+    out += name.substr(4);  // less "net."
+    out += '=';
+    append_u64(out, value);
+  }
+  return out;
 }
 
 }  // namespace spinn::net

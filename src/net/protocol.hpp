@@ -155,15 +155,26 @@ bool parse_spikes(const std::string& block,
 /// Parse `ok id=<id>`.  False (id untouched) for any other response.
 bool parse_open_id(const std::string& response, server::SessionId* id);
 
-/// Render the `netstats` verb's response line from an aggregated NetStats
-/// (the reactor answering the verb passes NetServer::stats(), which sums
-/// every reactor's counter shard).
+/// The transport's own verbs, which the reactor answers itself.
+enum class TransportVerb { kNone, kNetstats, kMetrics, kTrace };
+
+/// Classify a request frame by the rule Request applies to every verb:
+/// trailing empty lines (and one CR per line) are trimmed, and tokens split
+/// on spaces and tabs.  A transport verb is a frame of one command line —
+/// `netstats` or `metrics` alone, or `trace ...` — and `*line` receives
+/// that line.  Anything else (a batch, an argument to netstats) is kNone
+/// and executes as a Request.  A frame whose first word is not a transport
+/// verb is classified without tokenizing or allocating.
+TransportVerb transport_verb(const std::string& frame, std::string* line);
+
+/// Render the `netstats` verb's response line: the `net.*` rows of
+/// `metrics`, in the same order, as `net k=v ...`.
 std::string format_netstats(const NetStats& stats);
 
 /// Render the `metrics` verb's response: `metrics <n>` then n `name value`
 /// lines.  The transport/server derived fields come first in pinned order
-/// (`net.*` from the aggregated NetStats, `server.*` from ServerStats —
-/// the same append-only stability contract as `netstats`), followed by the
+/// (`net.*` from NetStats, `server.*` from ServerStats — the same
+/// append-only stability contract as `netstats`), followed by the
 /// process-wide obs::Registry rows sorted by name (histograms expand to
 /// `.count/.p50/.p95/.p99`).  docs/OBSERVABILITY.md holds the transcript.
 std::string format_metrics(const NetStats& net, const server::ServerStats& srv);

@@ -51,8 +51,7 @@ struct Wakeup {
   /// construction fails loudly on it instead (Reactor ctor).
   int error = 0;
   /// The reactor thread's id, set once its loop starts: a notify from that
-  /// thread is pointless (it is already awake) and skips the pipe write —
-  /// in reactor-drives mode that removes two syscalls per session.
+  /// thread is pointless (it is already awake) and skips the pipe write.
   ///
   /// Deliberately lock-free (relaxed): a stale read can only err in the
   /// safe direction.  A thread that misses the just-stored owner id does
@@ -150,9 +149,6 @@ struct Reactor::Impl {
   /// the listener leaves the epoll set until the deadline passes.
   bool accept_paused = false;
   std::chrono::steady_clock::time_point accept_resume{};
-
-  mutable Mutex stats_mu;
-  NetStats stats SPINN_GUARDED_BY(stats_mu);
 };
 
 Reactor::Reactor(NetServer& server, std::size_t index)
@@ -196,13 +192,13 @@ void Reactor::adopt(Fd client) {
   impl_->wakeup->notify();
 }
 
-NetStats Reactor::stats_shard() const {
-  MutexLock lk(&impl_->stats_mu);
-  return impl_->stats;
-}
-
-std::function<void()> Reactor::wake_fn() const {
-  return [wk = impl_->wakeup] { wk->notify(); };
+void Reactor::drop_handoffs() {
+  std::vector<Fd> dropped;
+  {
+    MutexLock lk(&impl_->handoff_mu);
+    dropped.swap(impl_->handoff);
+  }
+  srv_.open_conns_.fetch_sub(dropped.size(), std::memory_order_relaxed);
 }
 
 void Reactor::loop() {
@@ -216,26 +212,21 @@ void Reactor::loop() {
   obs::Histogram& req_hist = obs::Registry::global().histogram(
       "net.request_ns", 0, 100'000'000, 2000);
   obs::Tracer& tracer = obs::Tracer::global();
-  const auto bump = [&](auto member, std::uint64_t by = 1) {
-    MutexLock lk(&im.stats_mu);
-    im.stats.*member += by;
-  };
+  // Traffic counts go straight into the server's lock-free block.  Every
+  // site adds a frame's bytes before the frame (NetServer::stats()).
+  NetServer::Counters& ctr = srv_.counters_;
   std::vector<std::uint64_t> doomed;
 
   // Retire the connection: either its responses can no longer be delivered
   // correctly (overflow/flood) or at all (peer gone), or — counter == null
   // and draining — it finished an orderly half-close drain.  Parked idle
   // callbacks may still fire for it later; their conn id simply no longer
-  // resolves.  The live-connection gauge drops here, not at the erase, so
+  // resolves.  The live-connection count drops here, not at the erase, so
   // `netstats` answered mid-iteration never counts doomed entries.
-  const auto shed = [&](Impl::Conn& conn, std::uint64_t NetStats::*counter) {
+  const auto shed = [&](Impl::Conn& conn, obs::Counter* counter) {
     if (conn.dead) return;
     conn.dead = true;
-    if (counter != nullptr) bump(counter);
-    {
-      MutexLock lk(&im.stats_mu);
-      --im.stats.connections;
-    }
+    if (counter != nullptr) counter->inc();
     srv_.open_conns_.fetch_sub(1, std::memory_order_relaxed);
     doomed.push_back(conn.id);
   };
@@ -282,7 +273,7 @@ void Reactor::loop() {
   // only a reader that actually stopped gets shed.
   const auto over_backlog = [&](Impl::Conn& conn, std::size_t frame_bytes) {
     if (frame_bytes > cfg.max_write_buffer) {
-      shed(conn, &NetStats::shed_slow);
+      shed(conn, &ctr.shed_slow);
       return true;
     }
     if (conn.outbox.size() - conn.out_pos <= cfg.max_write_buffer) {
@@ -290,7 +281,7 @@ void Reactor::loop() {
     }
     if (!flush(conn)) return true;  // peer already gone
     if (conn.outbox.size() - conn.out_pos > cfg.max_write_buffer) {
-      shed(conn, &NetStats::shed_slow);
+      shed(conn, &ctr.shed_slow);
       return true;
     }
     return false;
@@ -306,57 +297,46 @@ void Reactor::loop() {
         if (conn.inbox.empty()) return true;
         // `netstats`, `metrics` and `trace` are the transport's own
         // verbs — answered by the reactor, invisible to the session layer
-        // (and not batchable).  The counter dumps aggregate every
-        // reactor's shard (srv_.stats() snapshots one shard's stats lock
-        // at a time, never two at once).
+        // (and not batchable).
         const std::string& front = conn.inbox.front();
-        const bool is_trace =
-            front == "trace" || front.rfind("trace ", 0) == 0;
-        if (front == "netstats" || front == "metrics" || is_trace) {
+        std::string line;
+        const TransportVerb verb = transport_verb(front, &line);
+        if (verb != TransportVerb::kNone) {
           std::string resp;
-          if (front == "netstats") {
+          if (verb == TransportVerb::kNetstats) {
             resp = format_netstats(srv_.stats());
-          } else if (front == "metrics") {
+          } else if (verb == TransportVerb::kMetrics) {
             resp = format_metrics(srv_.stats(), sessions.stats());
           } else {
-            resp = handle_trace(front, cfg.allow_trace);
+            resp = handle_trace(line, cfg.allow_trace);
           }
           conn.inbox.pop_front();
           append_frame(conn.outbox, resp);
-          {
-            // One lock acquisition for the correlated counters, so a
-            // concurrent scrape can never see the frame counted but its
-            // bytes missing (or vice versa).
-            MutexLock lk(&im.stats_mu);
-            im.stats.frames_out += 1;
-            im.stats.bytes_out += kFrameHeader + resp.size();
-          }
-          if (over_backlog(conn, kFrameHeader + resp.size())) return false;
+          const std::size_t frame_bytes = kFrameHeader + resp.size();
+          ctr.bytes_out.inc(frame_bytes);
+          ctr.frames_out.inc();
+          if (over_backlog(conn, frame_bytes)) return false;
           continue;
         }
         conn.active = std::make_unique<Request>(sessions, conn.inbox.front());
         conn.active_start_ns = WallClock::now_ns();
         conn.inbox.pop_front();
-        if (conn.active->commands() > 1) bump(&NetStats::batches);
+        if (conn.active->commands() > 1) ctr.batches.inc();
       }
       if (conn.active->advance()) {
         const std::string& resp = conn.active->response();
         append_frame(conn.outbox, resp);
-        {
-          // Correlated counters under one acquisition (see above): a
-          // scrape sees this response's frame, bytes and faults together
-          // or not at all.
-          MutexLock lk(&im.stats_mu);
-          im.stats.frames_out += 1;
-          im.stats.bytes_out += kFrameHeader + resp.size();
-          im.stats.faults += conn.active->faults_scheduled();
+        const std::size_t frame_bytes = kFrameHeader + resp.size();
+        ctr.bytes_out.inc(frame_bytes);
+        ctr.frames_out.inc();
+        if (const std::size_t n = conn.active->faults_scheduled(); n != 0) {
+          ctr.faults.inc(n);
         }
         const std::int64_t now_ns = WallClock::now_ns();
         req_hist.observe(now_ns - conn.active_start_ns);
         tracer.complete("net", "net.request", conn.active_start_ns,
                         now_ns - conn.active_start_ns, "commands",
                         conn.active->commands());
-        const std::size_t frame_bytes = kFrameHeader + resp.size();
         conn.active.reset();
         if (over_backlog(conn, frame_bytes)) return false;
       } else {
@@ -396,17 +376,10 @@ void Reactor::loop() {
                          frame.size());
           conn.inbox.push_back(std::move(frame));
         }
-        {
-          // The recv's bytes and the frames decoded from them land under
-          // one lock acquisition, so a concurrent scrape never sees the
-          // bytes counted with their frames missing (the torn-total bug
-          // this grouping fixed).
-          MutexLock lk(&im.stats_mu);
-          im.stats.bytes_in += static_cast<std::uint64_t>(got);
-          im.stats.frames_in += frames;
-        }
+        ctr.bytes_in.inc(static_cast<std::uint64_t>(got));
+        if (frames != 0) ctr.frames_in.inc(frames);
         if (conn.dec.overflowed() || conn.inbox.size() > cfg.max_pipeline) {
-          shed(conn, &NetStats::shed_flood);
+          shed(conn, &ctr.shed_flood);
           return false;
         }
         continue;
@@ -467,8 +440,6 @@ void Reactor::loop() {
         cid, Impl::Conn(std::move(client), cid, cfg.max_frame));
     im.ep.add(fd, EPOLLIN, cid);
     it->second.events = EPOLLIN;
-    MutexLock lk(&im.stats_mu);
-    ++im.stats.connections;
   };
 
   // Take ownership of connections the accepting reactor dealt to us.
@@ -495,7 +466,7 @@ void Reactor::loop() {
         if (aerr == EINTR || aerr == ECONNABORTED || aerr == EPROTO) {
           continue;  // this connection failed; the next may be fine
         }
-        bump(&NetStats::refused);
+        ctr.refused.inc();
         im.accept_paused = true;
         im.accept_resume = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(kAcceptBackoffMs);
@@ -504,11 +475,11 @@ void Reactor::loop() {
       }
       if (srv_.open_conns_.load(std::memory_order_relaxed) >=
           cfg.max_connections) {
-        bump(&NetStats::refused);
+        ctr.refused.inc();
         continue;  // Fd destructor closes: refusal is the message
       }
       srv_.open_conns_.fetch_add(1, std::memory_order_relaxed);
-      bump(&NetStats::accepted);
+      ctr.accepted.inc();
       const std::size_t target =
           srv_.next_reactor_.fetch_add(1, std::memory_order_relaxed) %
           srv_.reactors_.size();
@@ -550,11 +521,6 @@ void Reactor::loop() {
       }
     }
   };
-
-  // Single-threaded serving (cfg.reactor_drives): run a bounded burst of
-  // scheduler quanta between socket polls.  Parked requests resume in the
-  // same iteration their session idles — no cross-thread handoff at all.
-  constexpr int kDriveQuanta = 64;
 
   im.wakeup->owner.store(std::this_thread::get_id(),
                          std::memory_order_relaxed);
@@ -622,21 +588,6 @@ void Reactor::loop() {
     }
 
     timeout_ms = 500;
-    if (cfg.reactor_drives) {
-      // Alternate driving and resuming until quiescent: answering a
-      // parked wait lets its connection pump the next pipelined frame,
-      // which submits new session work, which parks the next wait — all
-      // on this thread, with no pipe writes to re-wake us.  The budget
-      // keeps one connection's deep pipeline from starving socket I/O.
-      for (int budget = 16 * kDriveQuanta; budget > 0;) {
-        process_resumes();
-        int quanta = 0;
-        while (quanta < kDriveQuanta && sessions.poll()) ++quanta;
-        if (quanta == 0) break;  // idle: resumes drained, queue empty
-        budget -= quanta;
-        if (budget <= 0) timeout_ms = 0;  // work remains: poll, come back
-      }
-    }
     // Inline idle fires during pump (already-idle sessions) queue resumes
     // with no pipe write: answer them before sleeping, then put every
     // coalesced response on the wire.
@@ -648,23 +599,14 @@ void Reactor::loop() {
     sync_masks();
   }
 
-  // Loop exit: release the gauges for everything this shard still holds —
-  // live connections and any handoffs never adopted.
+  // Loop exit: release the count of every live connection this shard
+  // still holds.  Handoffs never adopted are NetServer::stop()'s to drop.
   std::size_t leftover = 0;
   for (const auto& [id, conn] : im.conns) {
     if (!conn.dead) ++leftover;
   }
-  {
-    MutexLock lk(&im.handoff_mu);
-    leftover += im.handoff.size();
-    im.handoff.clear();
-  }
   srv_.open_conns_.fetch_sub(leftover, std::memory_order_relaxed);
   im.conns.clear();
-  {
-    MutexLock lk(&im.stats_mu);
-    im.stats.connections = 0;
-  }
 }
 
 }  // namespace spinn::net

@@ -1,13 +1,13 @@
 // Reactor: one epoll event-loop worker of the NetServer front-end.
 //
 // Each reactor owns, privately: an epoll set, a wakeup pipe, a resume
-// queue, a handoff queue of freshly-accepted sockets, a shard of the
-// connection map, and a shard of the NetStats counters.  Nothing is shared
-// between reactors except the SessionServer they execute requests against
-// (thread-safe by design) and the NetServer's atomic connection gauges —
-// so N reactors scale the wire pipeline (frame decode, request parsing,
-// `net`-grammar compilation, response formatting) across N cores without a
-// lock on any per-connection hot path.
+// queue, a handoff queue of freshly-accepted sockets, and a shard of the
+// connection map.  Nothing is shared between reactors except the
+// SessionServer they execute requests against (thread-safe by design) and
+// the NetServer's atomic counters — so N reactors scale the wire pipeline
+// (frame decode, request parsing, `net`-grammar compilation, response
+// formatting) across N cores without a lock on any per-connection hot
+// path.
 //
 // Topology: reactor 0 owns the listener; accepted connections are dealt
 // round-robin across all reactors through adopt() (a mutex-guarded handoff
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <thread>
 
@@ -63,14 +62,10 @@ class Reactor {
   /// wakeup.
   void adopt(Fd client);
 
-  /// This reactor's counter shard.  `connections` counts this shard's
-  /// live (non-doomed) connections, exact at any instant — not the map
-  /// size, which mid-iteration still holds doomed entries.
-  NetStats stats_shard() const;
-
-  /// A cheap cross-thread wake of this reactor, for
-  /// SessionServer::set_work_signal under reactor_drives.
-  std::function<void()> wake_fn() const;
+  /// Close the sockets dealt to this reactor but never adopted, and release
+  /// their connection count.  Call only once every reactor has joined: a
+  /// deal can land after this reactor's loop exited.
+  void drop_handoffs();
 
  private:
   struct Impl;

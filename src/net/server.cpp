@@ -12,7 +12,6 @@ namespace {
 
 std::size_t resolve_reactor_count(const NetConfig& cfg) {
   if (cfg.reactors != 0) return cfg.reactors;
-  if (cfg.reactor_drives) return 1;
   const std::size_t hw = std::thread::hardware_concurrency();
   const std::size_t cap = hw == 0 ? 1 : hw;
   return cap < 4 ? cap : 4;
@@ -29,25 +28,12 @@ NetServer::NetServer(const NetConfig& cfg)
                              std::to_string(cfg_.port) + " (" + error + ")");
   }
   const std::size_t n = resolve_reactor_count(cfg_);
-  if (cfg_.reactor_drives && n != 1) {
-    throw std::runtime_error(
-        "net: reactor_drives requires exactly one reactor (got reactors=" +
-        std::to_string(n) +
-        "); the drive loop assumes it is the only thread pumping the "
-        "session scheduler");
-  }
   // Construct every reactor (epoll set + wakeup pipe, throws on fd
   // exhaustion) before starting any thread: a failed sibling must not
   // leak a running loop, and ~NetServer never runs on a half-built object.
   reactors_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     reactors_.push_back(std::make_unique<Reactor>(*this, i));
-  }
-  if (cfg_.reactor_drives) {
-    // Embedded submissions must wake the (single) reactor's epoll wait;
-    // the hook's shared Wakeup keeps the signal safe through any
-    // destruction order.
-    sessions_.set_work_signal(reactors_[0]->wake_fn());
   }
   for (auto& r : reactors_) r->start();
 }
@@ -61,27 +47,26 @@ void NetServer::stop() {
   // same std::thread (UB); the loser waits for the winner's joins instead.
   MutexLock lk(&stop_mu_);
   for (auto& r : reactors_) r->join();
+  // Only now is no deal in flight: reactor 0 may have dealt a socket to a
+  // reactor whose loop had already exited.
+  for (auto& r : reactors_) r->drop_handoffs();
 }
 
 NetStats NetServer::stats() const {
-  // Shards are summed one lock at a time (never two shard locks held at
-  // once), so this nests safely under a reactor answering `netstats` from
-  // inside its own loop.
+  // Frames before bytes: a reactor adds a frame's bytes before the frame,
+  // so a frame this snapshot sees has its bytes in the later reads.
   NetStats out;
-  for (const auto& r : reactors_) {
-    const NetStats s = r->stats_shard();
-    out.accepted += s.accepted;
-    out.refused += s.refused;
-    out.shed_slow += s.shed_slow;
-    out.shed_flood += s.shed_flood;
-    out.frames_in += s.frames_in;
-    out.frames_out += s.frames_out;
-    out.batches += s.batches;
-    out.faults += s.faults;
-    out.bytes_in += s.bytes_in;
-    out.bytes_out += s.bytes_out;
-    out.connections += s.connections;
-  }
+  out.frames_in = counters_.frames_in.value();
+  out.frames_out = counters_.frames_out.value();
+  out.bytes_in = counters_.bytes_in.value();
+  out.bytes_out = counters_.bytes_out.value();
+  out.accepted = counters_.accepted.value();
+  out.refused = counters_.refused.value();
+  out.shed_slow = counters_.shed_slow.value();
+  out.shed_flood = counters_.shed_flood.value();
+  out.batches = counters_.batches.value();
+  out.faults = counters_.faults.value();
+  out.connections = open_conns_.load(std::memory_order_relaxed);
   out.reactors = reactors_.size();
   return out;
 }

@@ -38,6 +38,7 @@
 
 #include "common/thread_annotations.hpp"
 #include "net/socket.hpp"
+#include "obs/registry.hpp"
 #include "server/server.hpp"
 
 namespace spinn::net {
@@ -57,23 +58,11 @@ struct NetConfig {
   /// flooding writer is shed.
   std::size_t max_pipeline = 256;
   /// Reactor (event-loop) worker threads.  0 = auto: min(4, hardware
-  /// concurrency), or 1 under `reactor_drives`.  Each reactor owns its own
-  /// epoll set, wakeup pipe, resume queue and connection shard and runs
-  /// the full frame-decode → execute → response-format pipeline; reactor 0
-  /// owns the listener and deals accepted connections round-robin.
-  /// `reactor_drives` requires exactly one reactor (the drive loop assumes
-  /// it is the only thread pumping the session scheduler) — construction
-  /// throws otherwise.
+  /// concurrency).  Each reactor owns its own epoll set, wakeup pipe,
+  /// resume queue and connection shard and runs the full frame-decode →
+  /// execute → response-format pipeline; reactor 0 owns the listener and
+  /// deals accepted connections round-robin.
   std::size_t reactors = 0;
-  /// Single-threaded serving: the reactor itself drives the session
-  /// scheduler (bounded quanta between socket polls) instead of scheduler
-  /// workers.  With `session.workers = 0` this removes every cross-thread
-  /// handoff from the serving path — no condvars, no wakeup pipes between
-  /// transport and simulation — which is the fastest configuration on
-  /// few-core hosts (see bench_e14).  Embedded API calls still work: run()
-  /// submissions signal the reactor through the work hook, and wait()
-  /// blocks the caller, not the reactor.
-  bool reactor_drives = false;
   /// Gate for the `trace start|stop|dump` verb.  Tracing is process-wide
   /// state (obs::Tracer), so a deployment serving untrusted clients can
   /// turn the verb off wholesale; `metrics` and `netstats` are read-only
@@ -84,6 +73,7 @@ struct NetConfig {
   server::ServerConfig session;
 };
 
+/// A snapshot of the transport's counters (NetServer::stats()).
 struct NetStats {
   std::uint64_t accepted = 0;
   std::uint64_t refused = 0;        // over max_connections
@@ -96,18 +86,16 @@ struct NetStats {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::size_t connections = 0;      // currently open (live, non-doomed)
-  /// Reactor threads contributing to this aggregate (0 in a single shard —
-  /// only NetServer::stats() fills it in).
-  std::size_t reactors = 0;
+  std::size_t reactors = 0;         // reactor threads serving
 };
 
 class NetServer {
  public:
   /// Binds and starts the reactor threads.  Throws std::runtime_error when
-  /// the socket cannot be bound (port in use), when a reactor's epoll set
-  /// or wakeup pipe cannot be created (fd exhaustion — a wakeup-less
+  /// the socket cannot be bound (port in use), or when a reactor's epoll
+  /// set or wakeup pipe cannot be created (fd exhaustion — a wakeup-less
   /// reactor would silently degrade every cross-thread resume to the poll
-  /// timeout), or when `reactor_drives` is combined with `reactors != 1`.
+  /// timeout).
   explicit NetServer(const NetConfig& cfg = NetConfig{});
   ~NetServer();
 
@@ -124,16 +112,35 @@ class NetServer {
   /// Number of reactor threads actually running (cfg.reactors resolved).
   std::size_t reactor_count() const { return reactors_.size(); }
 
-  /// Aggregate of every reactor's counter shard.
+  /// Snapshot of the counters every reactor adds to.  Lock-free, and
+  /// consistent by construction: each counter is monotone across
+  /// snapshots, and no snapshot shows a frame without its bytes (a reactor
+  /// adds a frame's bytes before the frame, the counters publish with
+  /// release and read with acquire, and this reads frames before bytes).
   NetStats stats() const;
 
   /// Stop accepting, drop every connection, join the reactors.  Sessions
   /// survive (the SessionServer tears down with the object, not the
-  /// transport).  Idempotent.
+  /// transport).  Idempotent; stats().connections is 0 once it returns.
   void stop();
 
  private:
   friend class Reactor;
+
+  /// The transport's traffic, counted by every reactor straight into one
+  /// block (no per-reactor shard, no lock).
+  struct Counters {
+    obs::Counter accepted;
+    obs::Counter refused;
+    obs::Counter shed_slow;
+    obs::Counter shed_flood;
+    obs::Counter frames_in;
+    obs::Counter frames_out;
+    obs::Counter batches;
+    obs::Counter faults;
+    obs::Counter bytes_in;
+    obs::Counter bytes_out;
+  };
 
   NetConfig cfg_;
   server::SessionServer sessions_;
@@ -144,10 +151,11 @@ class NetServer {
   /// callback's id names a connection unambiguously whichever reactor
   /// shard it lives in.
   std::atomic<std::uint64_t> next_conn_{1};
-  /// Live connections across all shards, maintained by the reactors
-  /// (adopt ++, shed --); the accept path checks it against
-  /// cfg_.max_connections without touching any shard's map.
+  /// Live connections across all shards (++ at accept; -- at shed, at a
+  /// loop's exit and in stop()): the accept path checks it against
+  /// cfg_.max_connections, and stats() reports it.
   std::atomic<std::size_t> open_conns_{0};
+  Counters counters_;
   /// Round-robin dealing cursor for accepted connections.
   std::atomic<std::size_t> next_reactor_{0};
   Mutex stop_mu_;  // serialises the joins across concurrent stop() calls

@@ -22,8 +22,7 @@ Histogram::Histogram(std::int64_t lo, std::int64_t hi, std::size_t bins)
 
 namespace {
 
-/// Bin interpolation over an already-taken snapshot (same rule as
-/// sim::Histogram::percentile).
+/// Bin interpolation over an already-taken snapshot.
 std::int64_t interpolate(const std::vector<std::uint64_t>& snap,
                          std::uint64_t total, double p, std::int64_t lo,
                          std::int64_t hi) {
@@ -95,13 +94,6 @@ Counter& Registry::counter(const std::string& name) {
   return *m.counter;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  MutexLock lk(&mu_);
-  Metric& m = metrics_[name];
-  if (!m.gauge) m.gauge = std::make_unique<Gauge>();
-  return *m.gauge;
-}
-
 Histogram& Registry::histogram(const std::string& name, std::int64_t lo,
                                std::int64_t hi, std::size_t bins) {
   MutexLock lk(&mu_);
@@ -115,10 +107,6 @@ std::vector<std::pair<std::string, std::uint64_t>> Registry::rows() const {
   MutexLock lk(&mu_);
   for (const auto& [name, m] : metrics_) {
     if (m.counter) out.emplace_back(name, m.counter->value());
-    if (m.gauge) {
-      out.emplace_back(name,
-                       static_cast<std::uint64_t>(m.gauge->value()));
-    }
     if (m.histogram) {
       const Histogram::Summary s = m.histogram->summary();
       out.emplace_back(name + ".count", s.count);

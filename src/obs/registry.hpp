@@ -1,22 +1,23 @@
 // obs::Registry — the server's one metrics namespace.
 //
 // A million-core machine is only operable if every layer reports into one
-// place (ISSUE 9 / docs/OBSERVABILITY.md).  The registry holds three metric
-// kinds, all built for hot-path increments and scrape-time aggregation:
+// place (docs/OBSERVABILITY.md).  The registry holds two metric kinds, both
+// built for hot-path increments and scrape-time aggregation:
 //
 //  * Counter   — monotone u64, sharded across cache-line-padded atomic
 //                slots so concurrent reactors/workers never bounce a line;
-//                inc() is one relaxed fetch_add, value() sums at scrape.
-//  * Gauge     — last-write-wins i64 (queue depth, residency).
+//                inc() is one release fetch_add, value() sums acquire loads
+//                at scrape.
 //  * Histogram — fixed-bin atomic counts over [lo, hi) with clamped end
-//                bins, exposing count/p50/p95/p99 at scrape time via the
-//                same bin interpolation as sim::Histogram.
+//                bins, exposing count/p50/p95/p99 at scrape time by bin
+//                interpolation.  It is the one binned histogram: the
+//                simulator's latency probes observe into it too.
 //
 // Lock discipline: metric *registration* (find-or-create by name) takes the
 // registry mutex and belongs in constructors/setup paths, which then hold
 // plain references for the object's life (entries are never removed, so
-// references never dangle).  The increment paths — inc/set/observe — take
-// no lock and allocate nothing; tools/lint_invariants.py's `obs-hot-path`
+// references never dangle).  The increment paths — inc/observe — take no
+// lock and allocate nothing; tools/lint_invariants.py's `obs-hot-path`
 // rule enforces that on every `// obs:hot` body in this file.
 //
 // The wire surface is the `metrics` verb (net/protocol.cpp): the derived
@@ -44,6 +45,13 @@ std::size_t this_thread_shard() noexcept;
 
 /// Monotone counter, sharded to keep concurrent increments off each
 /// other's cache lines.
+///
+/// Ordering: inc() publishes with release and value() reads with acquire.
+/// So when one thread increments `a` and then `b`, a reader that reads
+/// `b` and then `a` sees, for every increment of `b` it counts, the
+/// increments of `a` made before it — the rule that keeps a scrape from
+/// showing a frame without its bytes.  On x86 both cost the same as
+/// relaxed.
 class Counter {
  public:
   static constexpr std::size_t kShards = 16;
@@ -51,15 +59,15 @@ class Counter {
   // obs:hot — metric-increment path: no locks, no allocation.
   void inc(std::uint64_t by = 1) noexcept {
     shards_[detail::this_thread_shard()].v.fetch_add(
-        by, std::memory_order_relaxed);
+        by, std::memory_order_release);
   }
 
-  /// Scrape-time sum over the shards.  Each shard is individually monotone
-  /// under relaxed loads, so successive scrapes never go backwards.
+  /// Scrape-time sum over the shards.  Each shard is individually
+  /// monotone, so successive scrapes never go backwards.
   std::uint64_t value() const noexcept {
     std::uint64_t total = 0;
     for (const Slot& s : shards_) {
-      total += s.v.load(std::memory_order_relaxed);
+      total += s.v.load(std::memory_order_acquire);
     }
     return total;
   }
@@ -69,21 +77,6 @@ class Counter {
     std::atomic<std::uint64_t> v{0};
   };
   Slot shards_[kShards];
-};
-
-/// Last-write-wins level (queue depth, occupancy).
-class Gauge {
- public:
-  // obs:hot — metric-update path: no locks, no allocation.
-  void set(std::int64_t v) noexcept {
-    v_.store(v, std::memory_order_relaxed);
-  }
-  std::int64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> v_{0};
 };
 
 /// Fixed-bin latency histogram over [lo_ns, hi_ns); out-of-range samples
@@ -115,8 +108,9 @@ class Histogram {
   }
 
   /// Bin-interpolated percentile (p in [0, 1]) of everything observed so
-  /// far, rounded to integer units; 0 when empty.  Same interpolation rule
-  /// as sim::Histogram::percentile, over a relaxed snapshot of the bins.
+  /// far, truncated to integer units; 0 when empty.  Interpolates linearly
+  /// inside the bin the p-th sample falls in, over a relaxed snapshot of
+  /// the bins: p = 1 of a single sample is its bin's top edge.
   std::int64_t percentile(double p) const;
 
   /// One scrape row set — count plus p50/p95/p99 — from a *single* bin
@@ -154,12 +148,11 @@ class Registry {
   /// hot-path use.  A histogram re-registered under an existing name keeps
   /// the original's range.
   Counter& counter(const std::string& name) SPINN_EXCLUDES(mu_);
-  Gauge& gauge(const std::string& name) SPINN_EXCLUDES(mu_);
   Histogram& histogram(const std::string& name, std::int64_t lo,
                        std::int64_t hi, std::size_t bins)
       SPINN_EXCLUDES(mu_);
 
-  /// Scrape: one `{name, value}` row per counter/gauge, and four rows per
+  /// Scrape: one `{name, value}` row per counter, and four rows per
   /// histogram (`<name>.count`, `.p50`, `.p95`, `.p99` — integer units),
   /// sorted by name.  Counters and histogram counts are monotone across
   /// successive scrapes.
@@ -171,7 +164,6 @@ class Registry {
     // Exactly one is set; a tiny hand-rolled variant keeps the storage
     // stable (unique_ptr) without RTTI.
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 

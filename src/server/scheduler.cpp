@@ -14,19 +14,11 @@ SessionScheduler::~SessionScheduler() { stop(); }
 
 void SessionScheduler::submit(const std::shared_ptr<Session>& session) {
   if (!session->try_mark_queued()) return;  // already in the queue
-  std::function<void()> hook;
   {
     MutexLock lk(&mu_);
     ready_.push_back(session);
-    hook = submit_hook_;
   }
   cv_.notify_one();
-  if (hook) hook();
-}
-
-void SessionScheduler::set_submit_hook(std::function<void()> hook) {
-  MutexLock lk(&mu_);
-  submit_hook_ = std::move(hook);
 }
 
 std::shared_ptr<Session> SessionScheduler::pop() {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -32,13 +31,6 @@ class SessionScheduler {
 
   /// Make the session eligible for worker time (no-op if already queued).
   void submit(const std::shared_ptr<Session>& session) SPINN_EXCLUDES(mu_);
-
-  /// Invoke `hook` whenever a session lands in the ready queue.  A
-  /// transport that drives the scheduler itself (0-worker single-threaded
-  /// mode) registers its wakeup here so embedded submissions can't sleep
-  /// through a 0-worker poll loop.  The hook runs outside the queue lock
-  /// and must be cheap and non-reentrant (a pipe write, not a drive()).
-  void set_submit_hook(std::function<void()> hook) SPINN_EXCLUDES(mu_);
 
   /// Service at most one queued session for one slice on the calling
   /// thread.  Returns false when the queue was empty.  This is the worker
@@ -62,7 +54,6 @@ class SessionScheduler {
   mutable Mutex mu_;
   CondVar cv_;
   std::deque<std::shared_ptr<Session>> ready_ SPINN_GUARDED_BY(mu_);
-  std::function<void()> submit_hook_ SPINN_GUARDED_BY(mu_);
   bool stopping_ SPINN_GUARDED_BY(mu_) = false;
   /// Constructor-spawned, joined exactly once by the first stop(); never
   /// touched by workers themselves, so no guard.

@@ -259,10 +259,6 @@ bool SessionServer::close(SessionId id) {
 
 bool SessionServer::poll() { return scheduler_.drive(); }
 
-void SessionServer::set_work_signal(std::function<void()> fn) {
-  scheduler_.set_submit_hook(std::move(fn));
-}
-
 ServerStats SessionServer::stats() const {
   MutexLock lk(&mu_);
   ServerStats st = stats_;

@@ -135,14 +135,6 @@ class SessionServer {
   /// the calling thread.  Returns false when no session had queued work.
   bool poll();
 
-  /// Register a cheap signal fired whenever session work lands in the
-  /// ready queue.  A transport that drives the scheduler itself via poll()
-  /// (single-threaded serving: NetConfig::reactor_drives) hooks its wakeup
-  /// here, so work submitted through the embedded API can't sleep through
-  /// its event loop.  The signal runs on the submitting thread and must be
-  /// cheap and non-reentrant (a pipe write, not a poll()).
-  void set_work_signal(std::function<void()> fn);
-
   ServerStats stats() const SPINN_EXCLUDES(mu_);
 
  private:

@@ -707,6 +707,78 @@ TEST(NetNegative, BatchErrorIndicesCountBlankLines) {
   EXPECT_EQ(blocks[1], "err @3 unknown app 'bogus'") << blocks[1];
 }
 
+// One malformed token for every key=value scan and every `,`/`;` split in
+// the wire grammars — pop and proj options, open, fault options, the
+// `stdp=` fields, the `sched=` ticks and the core=/chip=/link= coordinates —
+// each pinned to its full error response.
+TEST(NetNegative, MalformedTokensAnswerPinnedErrors) {
+  const std::string fault_usage =
+      "usage: fault <id|$> kill core=<x>,<y>,<c>|chip=<x>,<y> | "
+      "glitch|heal link=<x>,<y>,<E|NE|N|W|SW|S> [at=<ms>] [rate=<hz>] "
+      "[symbols=<n>] [conv=<0|1>]";
+  const std::string stdp_usage =
+      "err @4 net: 'stdp' expects <a_plus>,<a_minus>,<window_ticks>,<w_max>, "
+      "got '";
+  const auto proj = [](const std::string& opts) {
+    return std::vector<std::string>{"net", "pop a lif 4", "pop b lif 4",
+                                    "proj a b all " + opts, "end"};
+  };
+  const auto fault = [](const std::string& args) {
+    return std::vector<std::string>{"open app=chain seed=1",
+                                    "fault $ " + args, "close $"};
+  };
+  struct Case {
+    std::vector<std::string> lines;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {{"net", "pop a lif 4 v_thresh", "end"},
+       "err @2 net: expected key=value, got 'v_thresh'"},
+      {proj("w"), "err @4 net: expected key=value, got 'w'"},
+      {proj("=2"), "err @4 net: unknown key '' for proj"},
+      {{"open app=chain seed"}, "err expected key=value, got 'seed'"},
+      {{"ping", "open app=chain seed"},
+       "err @2 expected key=value, got 'seed'"},
+      {fault("kill chip=0,0 at"), "err @2 expected key=value, got 'at'"},
+      {proj("stdp=0.1,0.1,20"), stdp_usage + "0.1,0.1,20'"},
+      {proj("stdp=0.1,0.1,20,5,"), stdp_usage + "0.1,0.1,20,5,'"},
+      {proj("stdp=0.1;0.1,20,5"), stdp_usage + "0.1;0.1,20,5'"},
+      {proj("stdp=0.1,,20,5"), stdp_usage + "0.1,,20,5'"},
+      {{"net", "pop s spike_source 2 sched=1,x;3", "end"},
+       "err @2 net: bad schedule tick 'x'"},
+      {{"net", "pop s spike_source 2 sched=1,,2;3", "end"},
+       "err @2 net: bad schedule tick ''"},
+      {{"net", "pop s spike_source 2 sched=1,2,", "end"},
+       "err @2 net: bad schedule tick ''"},
+      {{"net", "pop s spike_source 2 sched=1;2;", "end"},
+       "err @2 net: sched defines 3 spike trains for size 2"},
+      {{"net", "pop s spike_source 2 sched=1", "end"},
+       "err @2 net: sched defines 1 spike trains for size 2"},
+      {fault("kill core=1,2"),
+       "err @2 bad fault target 'core=1,2' (" + fault_usage + ")"},
+      {fault("kill core=,0,0"),
+       "err @2 bad fault target 'core=,0,0' (" + fault_usage + ")"},
+      {fault("kill chip=1,2,"),
+       "err @2 bad fault target 'chip=1,2,' (" + fault_usage + ")"},
+      {fault("glitch link=0,0,X"),
+       "err @2 bad fault target 'link=0,0,X' (" + fault_usage + ")"},
+      {fault("heal link=0,0;E"),
+       "err @2 bad fault target 'link=0,0;E' (" + fault_usage + ")"},
+  };
+  NetServer srv;
+  Client client(srv.port());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.lines.size() > 1 ? c.lines[c.lines.size() - 2]
+                                    : c.lines[0]);
+    std::vector<std::string> errors;
+    for (const auto& block : Client::split_response(client.batch(c.lines))) {
+      if (block.rfind("err", 0) == 0) errors.push_back(block);
+    }
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0], c.error);
+  }
+}
+
 TEST(NetNegative, OpenAtWithoutANetFails) {
   NetServer srv;
   Client client(srv.port());

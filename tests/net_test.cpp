@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -161,6 +162,30 @@ TEST(NetServer, NetstatsReportsEveryCounter) {
   // The byte counters actually move: the ping frame cost bytes both ways.
   EXPECT_EQ(resp.find("bytes_in=0 "), std::string::npos) << resp;
   EXPECT_EQ(resp.find("bytes_out=0 "), std::string::npos) << resp;
+}
+
+// The transport's own verbs are recognised by the rule every other verb
+// follows: trailing CR/LF lines are trimmed, and tokens split on spaces and
+// tabs.  They still take no batch and (netstats, metrics) no argument.
+TEST(NetServer, TransportVerbsAcceptTrailingNewlines) {
+  NetServer srv;
+  Client client(srv.port());
+  EXPECT_EQ(client.request("ping\n"), "ok");
+  for (const char* frame :
+       {"netstats\n", "netstats ", "netstats\r\n", "\tnetstats \n\n"}) {
+    EXPECT_EQ(client.request(frame).rfind("net accepted=", 0), 0u)
+        << "frame '" << frame << "'";
+  }
+  for (const char* frame : {"metrics\n", "metrics\r\n\r\n", " metrics"}) {
+    EXPECT_EQ(client.request(frame).rfind("metrics ", 0), 0u)
+        << "frame '" << frame << "'";
+  }
+  EXPECT_EQ(client.request("trace stop\n"), "ok trace off");
+  EXPECT_EQ(client.request("trace\tstop\r\n"), "ok trace off");
+  EXPECT_EQ(client.request("trace\n"), "err usage: trace start|stop|dump");
+  EXPECT_EQ(client.request("netstats x"), "err usage: netstats <id|$> ...");
+  EXPECT_EQ(client.request("netstats\nping"),
+            "err @1 usage: netstats <id|$> ...\nok");
 }
 
 TEST(NetServer, OverflowingSessionIdIsRejectedNotAliased) {
@@ -350,7 +375,7 @@ std::map<std::string, std::uint64_t> parse_netstats_response(
 
 /// The consistency bar a scrape must clear at any instant under load:
 /// correlated counters may never be seen torn (a frame counted without its
-/// bytes) — this is what the per-shard grouped updates guarantee.
+/// bytes) — the promise NetServer::stats() documents.
 void expect_consistent_counters(
     const std::map<std::string, std::uint64_t>& kv, const char* frames_in,
     const char* bytes_in, const char* frames_out, const char* bytes_out) {
@@ -488,7 +513,7 @@ TEST(NetServer, EightConnectionsAcrossFourReactorsBitIdentical) {
 // bit-identical, while a ninth connection scrapes `metrics` and `netstats`
 // as fast as the server will answer.  Run under TSan this is also the
 // data-race proof for the whole telemetry path (sharded counters, seqlock
-// trace rings, grouped stat updates) against live traffic.
+// trace rings) against live traffic.
 TEST(NetServer, EightConnectionsBitIdenticalUnderContinuousScrape) {
   run_concurrent_equivalence(/*depth=*/4, /*reactors=*/4, /*scrape=*/true);
 }
@@ -650,6 +675,32 @@ TEST(NetServer, WakeupConstructionFailureIsLoudNotSilent) {
   EXPECT_EQ(client.request("ping"), "ok");
 }
 
+// stop() leaves no connection counted: neither the live ones on every
+// reactor nor a socket accepted while the reactors stop (reactor 0 may deal
+// it to a reactor whose loop has already exited).
+TEST(NetServer, StopReleasesEveryConnection) {
+  NetConfig cfg;
+  cfg.reactors = 4;
+  NetServer srv(cfg);
+  std::vector<std::unique_ptr<Client>> live;
+  for (int i = 0; i < 6; ++i) {
+    live.push_back(std::make_unique<Client>(srv.port()));
+    ASSERT_EQ(live.back()->request("ping"), "ok");
+  }
+  EXPECT_EQ(srv.stats().connections, live.size());
+  std::vector<Fd> late;
+  std::thread dialer([&] {
+    std::string error;
+    for (int i = 0; i < 64; ++i) {
+      Fd fd = connect_loopback(srv.port(), &error);
+      if (fd) late.push_back(std::move(fd));
+    }
+  });
+  srv.stop();
+  dialer.join();
+  EXPECT_EQ(srv.stats().connections, 0u);
+}
+
 // A parked wait on one connection must not stall another connection's
 // lifecycle (the test hangs, and the ctest hard timeout fails it, if the
 // reactor blocks).
@@ -802,54 +853,6 @@ TEST(NetServer, CostBudgetIsEnforcedFromTheSocket) {
                        "/" + std::to_string(cfg.session.cost_budget)),
             std::string::npos)
       << stats;
-}
-
-// Single-threaded serving: with reactor_drives the reactor itself runs the
-// scheduler (0 workers), so the whole server is one thread — and the
-// determinism contract must hold exactly as it does with a worker pool.
-TEST(NetServer, ReactorDrivenServingIsBitIdentical) {
-  NetConfig cfg;
-  cfg.session.workers = 0;
-  cfg.reactor_drives = true;
-  NetServer srv(cfg);
-
-  // Pipelined batches from two connections, mixed engines.
-  const std::vector<WireSession> sessions = {
-      {spec_with("noise", 31, sim::EngineKind::Serial), 20 * kMillisecond},
-      {spec_with("chain", 32, sim::EngineKind::Sharded, 2, 2),
-       20 * kMillisecond},
-  };
-  std::vector<Events> streams(sessions.size());
-  std::vector<std::thread> clients;
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    clients.emplace_back([&, i] {
-      streams[i] = drive_over_socket(srv.port(), sessions[i], 4);
-    });
-  }
-  for (auto& t : clients) t.join();
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    SCOPED_TRACE("connection " + std::to_string(i));
-    const Events reference =
-        server::run_standalone(sessions[i].spec, sessions[i].run);
-    ASSERT_FALSE(reference.empty());
-    EXPECT_TRUE(same_events(streams[i], reference));
-  }
-
-  // The embedded API on a reactor-driven server works too: the work
-  // signal wakes the reactor for sessions submitted off-wire.
-  {
-    server::SessionSpec spec = spec_with("stdp", 33, sim::EngineKind::Serial);
-    std::string error;
-    const server::SessionId id = srv.sessions().open(spec, &error);
-    ASSERT_NE(id, server::kInvalidSession) << error;
-    ASSERT_TRUE(srv.sessions().run(id, 10 * kMillisecond));
-    ASSERT_TRUE(srv.sessions().wait(id));
-    const Events via_api = srv.sessions().drain(id);
-    const Events reference =
-        server::run_standalone(spec, 10 * kMillisecond);
-    EXPECT_TRUE(same_events(via_api, reference));
-    EXPECT_TRUE(srv.sessions().close(id));
-  }
 }
 
 // The transport and the embedded API are the same server: a session opened

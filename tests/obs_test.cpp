@@ -1,5 +1,5 @@
-// The observability layer's own contract tests: percentile interpolation
-// pins (the one rule every bench and the registry share), counter/gauge/
+// The observability layer's own contract tests: the benches' sample
+// percentile, the binned histogram's interpolation pins, counter and
 // histogram semantics under concurrency, the bounded trace ring, and the
 // tracer's Chrome-JSON dump shape.
 #include <gtest/gtest.h>
@@ -51,51 +51,7 @@ TEST(Percentile, OutOfRangePClamps) {
   EXPECT_DOUBLE_EQ(sim::percentile(xs, 1.5), 3.0);
 }
 
-// ---- sim::Histogram percentile pins (bin interpolation) --------------------
-
-TEST(SimHistogram, EmptyPercentileIsZero) {
-  sim::Histogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.p50(), 0.0);
-}
-
-TEST(SimHistogram, SingleSampleInterpolatesInsideItsBin) {
-  // One sample in bin [3, 4): p=1.0 lands at the bin's top edge, p->0 at
-  // its bottom edge — the estimate never leaves the occupied bin.
-  sim::Histogram h(0.0, 10.0, 10);
-  h.add(3.5);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 4.0);
-  EXPECT_GE(h.percentile(0.01), 3.0);
-  EXPECT_LE(h.percentile(0.01), 4.0);
-}
-
-TEST(SimHistogram, BinEdgeSampleCountsInItsBin) {
-  // x exactly on a bin edge belongs to the higher bin ([lo, hi) bins).
-  sim::Histogram h(0.0, 10.0, 10);
-  h.add(3.0);
-  EXPECT_EQ(h.counts()[3], 1u);
-  EXPECT_EQ(h.counts()[2], 0u);
-}
-
-TEST(SimHistogram, UniformFillHitsExactQuartiles) {
-  sim::Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.p50(), 50.0, 1.0);
-  EXPECT_NEAR(h.p95(), 95.0, 1.0);
-  EXPECT_NEAR(h.p99(), 99.0, 1.0);
-}
-
-TEST(SimHistogram, OutOfRangeSamplesClampToEndBins) {
-  sim::Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(25.0);
-  EXPECT_EQ(h.counts().front(), 1u);
-  EXPECT_EQ(h.counts().back(), 1u);
-  // Everything above the range saturates at hi rather than extrapolating.
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
-}
-
-// ---- obs::Counter / Gauge / Histogram --------------------------------------
+// ---- obs::Counter / Histogram ----------------------------------------------
 
 TEST(ObsCounter, SumsAcrossConcurrentIncrements) {
   obs::Counter c;
@@ -119,13 +75,33 @@ TEST(ObsCounter, IncByAddsExactly) {
   EXPECT_EQ(c.value(), 10u);
 }
 
-TEST(ObsGauge, LastWriteWins) {
-  obs::Gauge g;
-  EXPECT_EQ(g.value(), 0);
-  g.set(42);
-  EXPECT_EQ(g.value(), 42);
-  g.set(-5);
-  EXPECT_EQ(g.value(), -5);
+// The scrape promise at the counter level: a writer adds a frame's bytes
+// before the frame, so a reader that reads frames before bytes never sees a
+// frame without its bytes (inc publishes with release, value() reads with
+// acquire).
+TEST(ObsCounter, FramesReadBeforeBytesNeverOutrunTheirBytes) {
+  obs::Counter frames;
+  obs::Counter bytes;
+  constexpr std::uint64_t kFrames = 100000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      bytes.inc(6);
+      frames.inc();
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t torn = 0;
+  for (bool last = false; !last;) {
+    last = done.load(std::memory_order_acquire);
+    const std::uint64_t f = frames.value();
+    const std::uint64_t b = bytes.value();
+    if (b < 6 * f) ++torn;
+  }
+  writer.join();
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(frames.value(), kFrames);
+  EXPECT_EQ(bytes.value(), 6 * kFrames);
 }
 
 TEST(ObsHistogram, EmptyPercentileIsZero) {
@@ -143,6 +119,12 @@ TEST(ObsHistogram, SingleSampleStaysInItsBin) {
   EXPECT_LE(h.percentile(0.5), 350);
   EXPECT_GE(h.percentile(0.99), 340);
   EXPECT_LE(h.percentile(0.99), 350);
+  // p = 1.0 of a single sample is its bin's top edge.
+  EXPECT_EQ(h.percentile(1.0), 350);
+  // A sample on a bin edge counts in the upper bin ([lo, hi) bins).
+  obs::Histogram edge(0, 100, 10);
+  edge.observe(30);
+  EXPECT_EQ(edge.percentile(1.0), 40);
 }
 
 TEST(ObsHistogram, ClampsOutOfRangeObservations) {
@@ -154,6 +136,7 @@ TEST(ObsHistogram, ClampsOutOfRangeObservations) {
   // magnitudes), the high one its real value.
   EXPECT_EQ(h.sum(), 5000u);
   EXPECT_EQ(h.percentile(1.0), 1000);  // saturates at hi
+  EXPECT_LE(h.percentile(0.5), 100);   // the low sample sits in bin 0
 }
 
 TEST(ObsHistogram, PercentilesOrdered) {
@@ -162,6 +145,10 @@ TEST(ObsHistogram, PercentilesOrdered) {
   EXPECT_LE(h.percentile(0.50), h.percentile(0.95));
   EXPECT_LE(h.percentile(0.95), h.percentile(0.99));
   EXPECT_NEAR(static_cast<double>(h.percentile(0.5)), 5000.0, 100.0);
+  // A uniform fill (one sample per 10-wide bin) puts the tail percentiles
+  // within a bin of their exact values.
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.95)), 9500.0, 10.0);
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.99)), 9900.0, 10.0);
 }
 
 TEST(ObsHistogram, SummaryMatchesIndividualPercentiles) {
@@ -196,7 +183,6 @@ TEST(ObsRegistry, RowsSortedAndHistogramsExpand) {
   auto& reg = obs::Registry::global();
   reg.counter("test.rows.b").inc(2);
   reg.counter("test.rows.a").inc(1);
-  reg.gauge("test.rows.g").set(5);
   reg.histogram("test.rows.h", 0, 100, 10).observe(50);
   const auto rows = reg.rows();
   ASSERT_FALSE(rows.empty());
@@ -212,7 +198,6 @@ TEST(ObsRegistry, RowsSortedAndHistogramsExpand) {
   ASSERT_NE(find("test.rows.a"), nullptr);
   EXPECT_EQ(*find("test.rows.a"), 1u);
   EXPECT_EQ(*find("test.rows.b"), 2u);
-  EXPECT_EQ(*find("test.rows.g"), 5u);
   ASSERT_NE(find("test.rows.h.count"), nullptr);
   EXPECT_EQ(*find("test.rows.h.count"), 1u);
   EXPECT_NE(find("test.rows.h.p50"), nullptr);

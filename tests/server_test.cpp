@@ -628,7 +628,10 @@ TEST(CostAdmission, InfeasibleOpenEvictsNothing) {
   busy_spec.bio_hint = 16 * kMillisecond;  // exact fit alongside the idles
   const SessionId busy = server.open(busy_spec);
   ASSERT_NE(busy, kInvalidSession);
-  ASSERT_TRUE(server.run(busy, 100 * kMillisecond));  // keep it busy
+  // Far more bio time than the test lasts (a chain run of 100 ms could end
+  // before the next open, leaving `busy` idle and evictable); close() below
+  // stops it within one slice.
+  ASSERT_TRUE(server.run(busy, 1'000'000 * kMillisecond));
 
   std::string error;
   EXPECT_EQ(server.open(huge, &error), kInvalidSession);
@@ -637,7 +640,7 @@ TEST(CostAdmission, InfeasibleOpenEvictsNothing) {
   EXPECT_EQ(server.status(a).state, SessionState::Ready);
   EXPECT_EQ(server.status(b).state, SessionState::Ready);
   EXPECT_EQ(server.stats().evicted, 0u);
-  server.wait(busy);
+  EXPECT_TRUE(server.close(busy));
 }
 
 // Equal costs fall back to the PR 3 policy: least-recently-used idles out.

@@ -204,29 +204,6 @@ TEST(Summary, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 9
-  h.add(-5.0);  // clamped to bin 0
-  h.add(50.0);  // clamped to bin 9
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[9], 2u);
-  EXPECT_EQ(h.summary().count(), 4u);
-}
-
-TEST(Histogram, PercentileMonotone) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add(i % 100 + 0.5);
-  const double p10 = h.percentile(0.10);
-  const double p50 = h.percentile(0.50);
-  const double p90 = h.percentile(0.90);
-  EXPECT_LT(p10, p50);
-  EXPECT_LT(p50, p90);
-  EXPECT_NEAR(p50, 50.0, 2.0);
-  EXPECT_NEAR(p90, 90.0, 2.0);
-}
-
 /// Determinism property: identical seeds yield identical event interleaving.
 class DeterminismTest : public ::testing::TestWithParam<std::uint64_t> {};
 
