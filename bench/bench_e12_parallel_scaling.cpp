@@ -17,6 +17,12 @@
 // Note: speedup is only meaningful on a machine with that much hardware
 // parallelism; `hw_threads` is reported alongside so the trajectory can be
 // read honestly.
+//
+// The `events` column counts the events the engine executed, not the work
+// it simulated: a core's handler completion is an event only while work
+// waits, and one event delivers a routed packet to all its local cores.
+// A kernel change can therefore lower events and events/s for the same
+// simulated run; compare points across such a change by wall time.
 #include <cstdio>
 #include <thread>
 

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot kernels: the
 // delay-insensitive codecs, multicast table lookup, event-queue operations,
 // neuron-slice updates, the deferred-event ring, topology routing, the
-// loader and the packet path's synaptic-row lookup.
+// loader, the packet path's synaptic-row lookup and a longrun simulation.
 // These bound how large a machine/network the simulator itself can handle.
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "core/system.hpp"
 #include "link/codes.hpp"
@@ -193,6 +194,42 @@ void BM_LoadLongrunNet(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(synapses));
 }
 BENCHMARK(BM_LoadLongrunNet)->Unit(benchmark::kMillisecond);
+
+/// 10 bio ms of the longrun net on the serial engine, loaded outside the
+/// timed region: the event queue, the packet path and the neuron kernels.
+/// Counters: host ns per executed event, and events per bio ms (a count of
+/// the simulated work, which only a change to the model moves).
+void BM_RunLongrunNet(benchmark::State& state) {
+  SystemConfig cfg;
+  cfg.machine.width = 6;
+  cfg.machine.height = 6;
+  cfg.machine.chip.num_cores = 4;
+  cfg.machine.seed = 1;
+  const neural::Network net = longrun_net();
+  constexpr TimeNs kRun = 10 * kMillisecond;
+  std::uint64_t events = 0;
+  std::int64_t run_ns = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sys = std::make_unique<System>(cfg);
+    sys->load(net);
+    const std::uint64_t e0 = sys->engine().executed();
+    const std::int64_t t0 = WallClock::now_ns();
+    state.ResumeTiming();
+    sys->run(kRun);
+    state.PauseTiming();
+    run_ns += WallClock::now_ns() - t0;
+    events += sys->engine().executed() - e0;
+    sys.reset();
+    state.ResumeTiming();
+  }
+  const auto n = static_cast<double>(events);
+  state.counters["ns_per_event"] = static_cast<double>(run_ns) / n;
+  state.counters["events_per_bio_ms"] =
+      n / (static_cast<double>(state.iterations()) *
+           static_cast<double>(kRun / kMillisecond));
+}
+BENCHMARK(BM_RunLongrunNet)->Unit(benchmark::kMillisecond);
 
 /// RowStore::find on a core holding rows from 24 source slices of 256
 /// neurons, about half of whose neurons have a row of 4 synapses there.

@@ -20,8 +20,9 @@ Chip::Chip(sim::Simulator& sim, ChipCoord coord, const ChipConfig& config,
   comms_noc_.set_core_sink([this](CoreIndex c, const router::Packet& p) {
     if (c < num_cores()) core(c).packet_interrupt(p);
   });
-  router_.set_local_sink([this](CoreIndex c, const router::Packet& p) {
-    comms_noc_.deliver(c, p);
+  router_.set_local_sink([this](router::CoreSet cores,
+                                const router::Packet& p) {
+    comms_noc_.deliver(cores, p);
   });
   router_.set_monitor_sink([this](const router::Packet& p) {
     if (monitor_packet_handler_) monitor_packet_handler_(p);

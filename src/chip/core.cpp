@@ -15,6 +15,7 @@ void Core::load_program(std::unique_ptr<CoreProgram> program) {
 }
 
 std::unique_ptr<CoreProgram> Core::take_program() {
+  leave_handler();
   state_ = CoreState::Off;
   // In-flight work is lost across a migration, as on the real machine —
   // and it is *accounted* lost, so a recovery window can be quantified.
@@ -30,8 +31,19 @@ std::unique_ptr<CoreProgram> Core::take_program() {
   return std::move(program_);
 }
 
+void Core::mark_failed() {
+  leave_handler();
+  state_ = CoreState::Failed;
+}
+
+void Core::reset_after_rescue() {
+  leave_handler();
+  state_ = CoreState::Off;
+}
+
 void Core::start() {
   if (state_ == CoreState::Failed || !program_) return;
+  leave_handler();
   state_ = CoreState::Sleeping;
   run_handler(program_->on_start(*this));
 }
@@ -66,16 +78,18 @@ void Core::dma_write(std::uint32_t bytes, std::uint64_t cookie) {
 }
 
 void Core::timer_interrupt() {
+  settle();
   if (!usable()) return;
   if (timer_pending_ > 0 || (state_ == CoreState::Busy && servicing_timer_)) {
     // Previous millisecond's work not finished: missed real-time deadline.
     ++stats_.overruns;
   }
   ++timer_pending_;
-  dispatch();
+  work_arrived();
 }
 
 void Core::packet_interrupt(const router::Packet& p) {
+  settle();
   if (state_ == CoreState::Failed) {
     // A packet addressed to a dead core is traffic the fault lost — count
     // it, so migration-window spike loss is measurable.
@@ -90,10 +104,11 @@ void Core::packet_interrupt(const router::Packet& p) {
   packet_queue_.push_back(p);
   stats_.max_packet_queue =
       std::max(stats_.max_packet_queue, packet_queue_.size());
-  dispatch();
+  work_arrived();
 }
 
 void Core::dma_interrupt(const DmaDone& d) {
+  settle();
   if (!usable()) {
     // A row read that lands after its core was migrated away or killed:
     // the spike that fetched it is lost.
@@ -101,6 +116,14 @@ void Core::dma_interrupt(const DmaDone& d) {
     return;
   }
   dma_queue_.push_back(d);
+  work_arrived();
+}
+
+void Core::work_arrived() {
+  if (state_ == CoreState::Busy) {
+    insert_completion();
+    return;
+  }
   dispatch();
 }
 
@@ -149,15 +172,48 @@ void Core::run_handler(std::uint64_t instructions) {
   // Keyed to the owning chip's actor: start() can be invoked from the
   // loader (top level) or the boot flood-fill (root-actor events), but the
   // core's execution belongs to its chip's event tree.
-  sim_.after_as(busy, actor_, [this] {
-    // The program may have been migrated away (or the core failed) while
-    // this handler was "executing"; only a still-busy core goes back to
-    // sleep and re-dispatches.
-    if (state_ != CoreState::Busy) return;
-    state_ = CoreState::Sleeping;
-    servicing_timer_ = false;
-    dispatch();
-  }, sim::EventPriority::Interrupt);
+  completion_ = sim_.queue().reserve_key_as(sim_.now() + busy, actor_,
+                                            sim::EventPriority::Interrupt);
+  completion_inserted_ = false;
+  if (work_queued()) insert_completion();
+}
+
+bool Core::handler_running() const {
+  const sim::EventQueue& q = sim_.queue();
+  if (q.now() != completion_.when) return q.now() < completion_.when;
+  return q.executing() && !(completion_ < q.current_key());
+}
+
+void Core::settle() {
+  if (state_ != CoreState::Busy || handler_running()) return;
+  state_ = CoreState::Sleeping;
+  servicing_timer_ = false;
+}
+
+void Core::insert_completion() {
+  if (completion_inserted_) return;
+  completion_inserted_ = true;
+  sim_.queue().insert_foreign(completion_, actor_, [this] { complete(); });
+}
+
+void Core::leave_handler() {
+  settle();
+  if (state_ == CoreState::Busy) insert_completion();
+}
+
+void Core::complete() {
+  // The program may have been migrated away (or the core failed) while
+  // this handler was "executing"; only a still-busy core goes back to
+  // sleep and re-dispatches.
+  settle();
+  if (state_ != CoreState::Busy) return;
+  // A completion left behind by a stopped handler ends whichever handler
+  // the restarted core is running; that handler's own completion still
+  // follows.
+  if (!(sim_.queue().current_key() == completion_)) insert_completion();
+  state_ = CoreState::Sleeping;
+  servicing_timer_ = false;
+  dispatch();
 }
 
 }  // namespace spinn::chip

@@ -11,6 +11,16 @@
 // chip's GALS clock.  A timer tick that arrives while the previous tick is
 // still queued or running is a real-time overrun — the quantity experiment
 // E11 sweeps.
+//
+// A handler's completion is an event only while work waits for the core.
+// Starting a handler reserves the completion's event key (the same sequence
+// draw scheduling it would make) and inserts nothing; the core reads its
+// handler as ended once the queue has passed that key.  The key is inserted
+// when an interrupt queues work behind the handler, when the handler starts
+// with work still queued, or when a stop or restart cuts the handler short —
+// the cases where the completion does something.  Every event therefore
+// keeps the key and the place in the order it would have with a completion
+// event per handler.
 #pragma once
 
 #include <cstdint>
@@ -139,11 +149,17 @@ class Core final : public CoreApi {
   void packet_interrupt(const router::Packet& p);
   void dma_interrupt(const DmaDone& d);
 
-  void mark_failed() { state_ = CoreState::Failed; }
+  void mark_failed();
   /// Reboot after a neighbour rescue (§5.2): clears a transient self-test
   /// failure; the core returns to the unprogrammed Off state.
-  void reset_after_rescue() { state_ = CoreState::Off; }
-  CoreState state() const { return state_; }
+  void reset_after_rescue();
+  /// Busy only until the running handler's end instant, whether or not its
+  /// completion is an event.
+  CoreState state() const {
+    return state_ == CoreState::Busy && !handler_running()
+               ? CoreState::Sleeping
+               : state_;
+  }
   bool usable() const {
     return state_ == CoreState::Sleeping || state_ == CoreState::Busy;
   }
@@ -157,6 +173,27 @@ class Core final : public CoreApi {
  private:
   void dispatch();
   void run_handler(std::uint64_t instructions);
+
+  /// True while the queue has not yet passed the running handler's reserved
+  /// completion key: before its instant, or at it with the executing event
+  /// keyed no later than the completion.  Only meaningful while Busy.
+  bool handler_running() const;
+  /// Apply a completion the queue has passed without an event: Busy becomes
+  /// Sleeping, as the completion event would have left it.
+  void settle();
+  /// Insert the reserved completion as an event, once.
+  void insert_completion();
+  /// The completion event: back to sleep and serve queued work.
+  void complete();
+  /// Work was queued: serve it now, or have the running handler's
+  /// completion serve it.
+  void work_arrived();
+  /// The core leaves Busy other than by its handler's end (a stop or a
+  /// restart): the handler's completion still fires, as its event did.
+  void leave_handler();
+  bool work_queued() const {
+    return !packet_queue_.empty() || !dma_queue_.empty() || timer_pending_ > 0;
+  }
 
   sim::Simulator& sim_;
   CoreId id_;
@@ -175,6 +212,10 @@ class Core final : public CoreApi {
   RingFifo<DmaDone> dma_queue_;            // priority 2
   std::uint32_t timer_pending_ = 0;        // priority 3
   std::uint32_t timer_ticks_seen_ = 0;
+  /// Reserved key of the running (or last) handler's completion; its
+  /// `when` is the handler's end instant.
+  sim::EventKey completion_{};
+  bool completion_inserted_ = true;
 
   Stats stats_;
 };

@@ -26,9 +26,19 @@ void CommsNoc::start_next() {
   }, sim::EventPriority::Fabric);
 }
 
-void CommsNoc::deliver(CoreIndex core, const router::Packet& p) {
-  sim_.after_as(cfg_.delivery_latency_ns, actor_, [this, core, p] {
-    if (core_sink_) core_sink_(core, p);
+void CommsNoc::deliver(router::CoreSet cores, const router::Packet& p) {
+  // One event for every copy, and the order of events is that of one event
+  // per core.  Per-core events would take consecutive sequence numbers of
+  // one actor at the same (when, Fabric), so no other key could sort
+  // between them; the later numbers of this actor shift but keep their
+  // order.  Nor can a core's interrupt put an event between two copies,
+  // because nothing a packet interrupt runs schedules an Interrupt-priority
+  // event at zero delay: a handler lasts at least 1 ns
+  // (ClockDomain::instruction_time clamps), and a DMA completion is
+  // Default priority.
+  sim_.after_as(cfg_.delivery_latency_ns, actor_, [this, cores, p] {
+    if (!core_sink_) return;
+    cores.for_each([&](CoreIndex c) { core_sink_(c, p); });
   }, sim::EventPriority::Fabric);
 }
 

@@ -4,7 +4,8 @@
 // Model: an arbitrated injection port (cores -> router) serialised at the
 // CHAIN fabric rate, and a fixed-latency delivery path (router -> core comms
 // controller).  The injection side matters: 20 cores bursting spikes in the
-// same timer tick contend for one router input.
+// same timer tick contend for one router input.  A packet the router copies
+// to several local cores is delivered to all of them by one event.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "common/ring_fifo.hpp"
 #include "common/units.hpp"
 #include "router/packet.hpp"
+#include "router/route.hpp"
 #include "sim/simulator.hpp"
 
 namespace spinn::noc {
@@ -44,8 +46,9 @@ class CommsNoc {
   /// A core injects a packet towards the router.
   void inject(const router::Packet& p);
 
-  /// The router delivers a packet to core `core`.
-  void deliver(CoreIndex core, const router::Packet& p);
+  /// The router delivers a packet to the cores `cores`: one event,
+  /// delivery_latency_ns later, interrupts each core in index order.
+  void deliver(router::CoreSet cores, const router::Packet& p);
 
   std::uint64_t injected() const { return injected_; }
 

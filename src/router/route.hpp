@@ -3,11 +3,40 @@
 // output-vector format of the real multicast router.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "common/types.hpp"
 
 namespace spinn::router {
+
+/// The local cores a route copies a packet to: bit c is core c.
+class CoreSet {
+ public:
+  constexpr CoreSet() = default;
+  explicit constexpr CoreSet(std::uint32_t bits) : bits_(bits) {}
+
+  static constexpr CoreSet of(CoreIndex core) { return CoreSet(1u << core); }
+  constexpr CoreSet with(CoreIndex core) const {
+    return CoreSet(bits_ | (1u << core));
+  }
+
+  constexpr bool empty() const { return bits_ == 0; }
+  constexpr int size() const { return std::popcount(bits_); }
+
+  /// Call `f(core)` for every member, lowest index first.
+  template <typename F>
+  constexpr void for_each(F&& f) const {
+    for (std::uint32_t b = bits_; b != 0; b &= b - 1) {
+      f(static_cast<CoreIndex>(std::countr_zero(b)));
+    }
+  }
+
+  friend constexpr bool operator==(CoreSet, CoreSet) = default;
+
+ private:
+  std::uint32_t bits_ = 0;
+};
 
 class Route {
  public:
@@ -33,6 +62,9 @@ class Route {
   }
   constexpr bool has_core(CoreIndex core) const {
     return (bits_ >> (kLinksPerChip + core)) & 1u;
+  }
+  constexpr CoreSet cores() const {
+    return CoreSet((bits_ >> kLinksPerChip) & ((1u << kCoresPerChip) - 1));
   }
 
   constexpr bool empty() const { return bits_ == 0; }

@@ -100,12 +100,10 @@ void Router::deliver_route(const Packet& p, Route route) {
     const auto d = static_cast<LinkDir>(l);
     if (route.has_link(d)) try_output(d, p);
   }
-  for (CoreIndex c = 0; c < kCoresPerChip; ++c) {
-    if (route.has_core(c)) {
-      ++counters_.delivered_local;
-      if (local_sink_) local_sink_(c, p);
-    }
-  }
+  const CoreSet cores = route.cores();
+  if (cores.empty()) return;
+  counters_.delivered_local += static_cast<std::uint64_t>(cores.size());
+  if (local_sink_) local_sink_(cores, p);
 }
 
 void Router::route_p2p(Packet p) {

@@ -21,6 +21,7 @@
 #include "common/units.hpp"
 #include "router/output_port.hpp"
 #include "router/packet.hpp"
+#include "router/route.hpp"
 #include "router/routing_table.hpp"
 #include "sim/simulator.hpp"
 
@@ -66,8 +67,8 @@ class Router {
     std::uint64_t nn_delivered = 0;
   };
 
-  /// Deliver a packet to an application core on this chip.
-  using LocalSink = std::function<void(CoreIndex, const Packet&)>;
+  /// Deliver a packet to the application cores of a route on this chip.
+  using LocalSink = std::function<void(CoreSet, const Packet&)>;
   /// Deliver to whichever core is currently Monitor (p2p Local hops, nn).
   using MonitorSink = std::function<void(const Packet&)>;
   /// Raise a router diagnostic at the Monitor Processor.

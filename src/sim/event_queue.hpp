@@ -13,6 +13,11 @@
 // driving the queue(s), the keys — and therefore the total event order — are
 // identical whether the machine runs on the serial engine's single queue or
 // on the sharded engine's per-shard queues (see sim/sharded_simulator.hpp).
+//
+// The heap holds each key packed into one 128-bit integer, so ordering two
+// events is a single wide compare, and it sifts 4-ary, so a pop touches
+// half as many levels as a binary heap's.  A key that does not fit the
+// packing throws instead of reordering silently.
 #pragma once
 
 #include <cstddef>
@@ -118,6 +123,12 @@ using ActorId = std::uint32_t;
 
 inline constexpr ActorId kRootActor = 0;
 
+/// Actors and per-actor sequence numbers the packed heap key can hold:
+/// 17 bits of actor cover admission's 65,536-chip cap plus the root actor,
+/// and 45 bits of sequence outlast any run admission accepts.
+inline constexpr ActorId kActorLimit = ActorId{1} << 17;
+inline constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 45;
+
 /// Sentinel "no event" timestamp (earliest_root_when() when none pending).
 inline constexpr TimeNs kTimeNever = std::numeric_limits<TimeNs>::max();
 
@@ -136,6 +147,7 @@ struct EventKey {
     if (a.actor != b.actor) return a.actor < b.actor;
     return a.seq < b.seq;
   }
+  friend constexpr bool operator==(const EventKey&, const EventKey&) = default;
 };
 
 class EventQueue {
@@ -180,12 +192,26 @@ class EventQueue {
   /// shipping it to the destination shard.
   EventKey make_handoff_key(TimeNs when, EventPriority priority);
 
+  /// Reserve the key an event scheduled now by schedule_at_as(when, actor,
+  /// ..., priority) would get — the same sequence draw — without inserting
+  /// anything.  The owner inserts it through insert_foreign() if the event
+  /// turns out to be needed (a core's handler completion, which matters
+  /// only when work waits for the core).  The queue remembers the latest
+  /// reserved instant: a drained step() advances the clock to it, as the
+  /// reserved event would have had it run.
+  EventKey reserve_key_as(TimeNs when, ActorId actor, EventPriority priority);
+
+  /// Latest instant reserve_key_as() has handed out (0 if none since the
+  /// last clear()).
+  TimeNs latest_reserved() const { return latest_reserved_; }
+
   /// Insert an event carrying an externally assigned key (a drained mailbox
   /// entry).  `key.when` must be >= now().  Does not touch any counter.
   void insert_foreign(const EventKey& key, ActorId exec_actor,
                       EventAction&& action);
 
-  /// Run the earliest pending event.  Returns false if the queue is empty.
+  /// Run the earliest pending event.  Returns false if the queue is empty,
+  /// after advancing the clock to latest_reserved().
   bool step();
 
   /// Run until the queue drains or `until` is reached (events at exactly
@@ -205,7 +231,7 @@ class EventQueue {
   std::uint64_t executed() const { return executed_; }
 
   /// Key of the earliest pending event.  Only valid when !empty().
-  const EventKey& peek_key() const { return heap_.front().key; }
+  EventKey peek_key() const { return unpack(heap_.front().key); }
 
   /// Earliest `when` among pending root-exec events, or kTimeNever.  The
   /// sharded engine bounds its parallel windows below this instant: a
@@ -231,8 +257,9 @@ class EventQueue {
     if (now_ < t) now_ = t;
   }
 
-  /// Drop every pending event (used when tearing down a scenario).
-  /// Sequence counters are retained so keys never repeat within a run.
+  /// Drop every pending event and forget the latest reserved instant (used
+  /// when tearing down a scenario).  Sequence counters are retained so keys
+  /// never repeat within a run.
   void clear();
 
   /// Return the queue to its freshly-constructed state: pending events
@@ -242,19 +269,19 @@ class EventQueue {
   void reset();
 
  private:
-  /// One pending event as the heap orders it: the key plus where its action
-  /// lives.  Ordered by key alone; the slot never takes part.
+  /// A key as the heap compares it: when (64) | priority (2) | actor (17) |
+  /// seq (45), most significant first, so integer order is key order.
+  using PackedKey = unsigned __int128;
+  /// Throws std::logic_error for a key the packing cannot hold.
+  static PackedKey pack(const EventKey& key);
+  static EventKey unpack(PackedKey packed);
+
+  /// One pending event as the heap orders it: the packed key plus where its
+  /// action lives.  Ordered by key alone; the slot never takes part.
   struct Record {
-    EventKey key;
-    ActorId exec_actor = kRootActor;
-    std::uint32_t slot = 0;
-  };
-  /// The std heap algorithms build max-heaps; ordering by "later" makes
-  /// heap_ a min-heap.
-  struct Later {
-    bool operator()(const Record& a, const Record& b) const {
-      return b.key < a.key;
-    }
+    PackedKey key;
+    ActorId exec_actor;
+    std::uint32_t slot;
   };
 
   std::uint64_t next_seq(ActorId actor);
@@ -262,6 +289,9 @@ class EventQueue {
             ActorId exec_actor, EventAction&& action);
   /// Store the action in a slot and add its record to the heap(s).
   void insert(const EventKey& key, ActorId exec_actor, EventAction&& action);
+  /// 4-ary min-heap operations on heap_.
+  void heap_push(const Record& rec);
+  Record heap_pop();
 
   TimeNs now_ = 0;
   std::uint64_t executed_ = 0;
@@ -275,11 +305,13 @@ class EventQueue {
   bool executing_ = false;
   ActorId current_exec_actor_ = kRootActor;
   EventKey current_key_{};
+  TimeNs latest_reserved_ = 0;
   /// Per-actor sequence counters, indexed by ActorId and grown on demand.
   /// An actor's counter lives in its home queue: only code executing under
   /// that actor (or single-threaded setup code) may draw from it.
   std::vector<std::uint64_t> seq_;
-  /// Binary min-heap of pending events by key.
+  /// 4-ary min-heap of pending events by packed key: the children of
+  /// heap_[i] are heap_[4i+1 .. 4i+4].
   std::vector<Record> heap_;
   /// Action store: a record's slot indexes it.  Slots are recycled through
   /// free_slots_, so a queue at a steady depth stops allocating.

@@ -196,7 +196,7 @@ int ShardedSimulator::min_head_shard(TimeNs limit) const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const EventQueue& q = shards_[i].ctx->queue();
     if (q.empty()) continue;
-    const EventKey& k = q.peek_key();
+    const EventKey k = q.peek_key();
     if (k.when > limit) continue;
     if (best < 0 || k < best_key) {
       best = static_cast<int>(i);
@@ -208,7 +208,17 @@ int ShardedSimulator::min_head_shard(TimeNs limit) const {
 
 bool ShardedSimulator::step() {
   const int best = min_head_shard(std::numeric_limits<TimeNs>::max());
-  if (best < 0) return false;
+  if (best < 0) {
+    // Drained: the reserved events that were never inserted would have
+    // run by now, and the last of them would have synced every shard's
+    // clock to its instant (step_shard).
+    TimeNs last = 0;
+    for (const auto& s : shards_) {
+      last = std::max(last, s.ctx->queue().latest_reserved());
+    }
+    for (auto& s : shards_) s.ctx->queue().advance_to(last);
+    return false;
+  }
   step_shard(static_cast<std::size_t>(best));
   return true;
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "chip/chip.hpp"
+#include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
 
 namespace spinn::chip {
@@ -244,6 +245,243 @@ TEST(Core, KillCountsRowReadsQueuedAndInFlight) {
   ASSERT_NE(core.take_program(), nullptr);
   h.sim.run();
   EXPECT_EQ(core.stats().packets_dropped - before, 2u);
+}
+
+// ---- handler completions: an event only while work waits -------------------
+
+/// Program that logs each handler it runs: kind, core and start instant.
+class StartLog final : public CoreProgram {
+ public:
+  struct Entry {
+    char kind;
+    CoreIndex core;
+    TimeNs at;
+    friend bool operator==(const Entry&, const Entry&) = default;
+  };
+
+  StartLog(std::vector<Entry>* log, std::uint64_t instructions,
+           std::uint64_t start_instructions = 100)
+      : log_(log),
+        instructions_(instructions),
+        start_instructions_(start_instructions) {}
+
+  std::uint64_t on_start(CoreApi&) override { return start_instructions_; }
+  std::uint64_t on_timer(CoreApi& api) override { return note('T', api); }
+  std::uint64_t on_packet(CoreApi& api, const router::Packet&) override {
+    return note('P', api);
+  }
+  std::uint64_t on_dma_done(CoreApi& api, const DmaDone&) override {
+    return note('D', api);
+  }
+
+ private:
+  std::uint64_t note(char kind, CoreApi& api) {
+    log_->push_back(Entry{kind, api.id().core, api.now()});
+    return instructions_;
+  }
+
+  std::vector<Entry>* log_;
+  std::uint64_t instructions_;
+  std::uint64_t start_instructions_;
+};
+
+using Entry = StartLog::Entry;
+
+router::Packet mc_packet() {
+  router::Packet p;
+  p.type = router::PacketType::Multicast;
+  p.key = 0x100;
+  return p;
+}
+
+TEST(Core, LoneHandlerRunsNoCompletionEvent) {
+  CoreHarness h;
+  std::vector<Entry> log;
+  Core& core = h.chip.core(1);
+  core.load_program(std::make_unique<StartLog>(&log, 100));
+  core.start();
+  h.sim.run();
+  const TimeNs t0 = h.sim.now();
+  const std::uint64_t before = h.sim.queue().executed();
+  core.timer_interrupt();  // a 625 ns handler, and nothing waits behind it
+  EXPECT_EQ(core.state(), CoreState::Busy);
+  h.sim.run();
+  EXPECT_EQ(h.sim.queue().executed() - before, 0u);
+  EXPECT_EQ(h.sim.now(), t0 + 625) << "a drained run ends at the handler end";
+  EXPECT_EQ(core.state(), CoreState::Sleeping);
+  EXPECT_EQ(log, (std::vector<Entry>{{'T', 1, t0}}));
+}
+
+TEST(Core, StateReadsSleepingOnceTheClockPassesTheEnd) {
+  CoreHarness h;
+  std::vector<Entry> log;
+  Core& core = h.chip.core(1);
+  core.load_program(std::make_unique<StartLog>(&log, 100));
+  core.start();
+  h.sim.run();
+  const TimeNs t0 = h.sim.now();
+  const std::uint64_t before = h.sim.queue().executed();
+  core.timer_interrupt();
+  h.sim.run_until(t0 + 624);
+  EXPECT_EQ(core.state(), CoreState::Busy);
+  h.sim.run_until(t0 + 625);
+  EXPECT_EQ(core.state(), CoreState::Sleeping);
+  EXPECT_EQ(h.sim.queue().executed() - before, 0u) << "no event ran";
+}
+
+TEST(Core, InterruptAtTheEndInstantQueuesOnlyWhenKeyedBeforeTheCompletion) {
+  // The completion is keyed (end, Interrupt, chip actor 2, seq).  An
+  // interrupt at the same instant from actor 1 at Interrupt priority sorts
+  // before it and finds the core busy: its work queues, and the completion
+  // serves the packet first (Fig. 7 priority).  At Fabric priority it sorts
+  // after the completion and finds the core asleep: the DMA, raised first,
+  // is served at once and the packet waits behind it.
+  for (const bool before_completion : {true, false}) {
+    SCOPED_TRACE(before_completion ? "Interrupt priority" : "Fabric priority");
+    CoreHarness h;
+    h.chip.set_actor(2);
+    std::vector<Entry> log;
+    Core& core = h.chip.core(1);
+    core.load_program(std::make_unique<StartLog>(&log, 100));
+    core.start();
+    h.sim.run();
+    const TimeNs t0 = h.sim.now();
+    core.timer_interrupt();
+    const TimeNs end = t0 + 625;
+    h.sim.at_as(end, 1,
+                [&core] {
+                  core.dma_interrupt(DmaDone{});
+                  core.packet_interrupt(mc_packet());
+                },
+                before_completion ? sim::EventPriority::Interrupt
+                                  : sim::EventPriority::Fabric);
+    h.sim.run();
+    const std::vector<Entry> want =
+        before_completion
+            ? std::vector<Entry>{{'T', 1, t0}, {'P', 1, end},
+                                 {'D', 1, end + 625}}
+            : std::vector<Entry>{{'T', 1, t0}, {'D', 1, end},
+                                 {'P', 1, end + 625}};
+    EXPECT_EQ(log, want);
+  }
+}
+
+TEST(Core, DrainedRunEndsAtTheHandlerEndOnBothEngines) {
+  sim::SerialEngine serial(1);
+  sim::ShardedSimulator sharded(1, /*shards=*/2, /*threads=*/1);
+  for (sim::ISimulationEngine* engine :
+       {static_cast<sim::ISimulationEngine*>(&serial),
+        static_cast<sim::ISimulationEngine*>(&sharded)}) {
+    SCOPED_TRACE(engine == &serial ? "serial" : "sharded");
+    engine->map_actors(3);  // sharded: actor 2 lives on the second shard
+    Rng seeds{1};
+    Chip chip(engine->context_of(2), ChipCoord{0, 0}, test_chip_config(),
+              seeds);
+    chip.set_actor(2);
+    std::vector<Entry> log;
+    chip.core(1).load_program(std::make_unique<StartLog>(&log, 100));
+    chip.core(1).start();  // a 625 ns on_start handler; nothing waits
+    EXPECT_EQ(engine->run(), 0u);
+    EXPECT_EQ(engine->now(), 625);
+    EXPECT_EQ(engine->root().now(), 625) << "every shard's clock advances";
+    EXPECT_EQ(chip.core(1).state(), CoreState::Sleeping);
+  }
+}
+
+TEST(Core, StoppedHandlerStillEndsTheRestartedCoresHandler) {
+  // A handler stopped by a kill or a migration leaves its completion
+  // behind.  If the core restarts before that instant, the completion ends
+  // whatever handler then runs — here a 2.5 ms on_start, so the packet
+  // queued behind it is served at the stopped handler's end.
+  for (const bool kill : {true, false}) {
+    SCOPED_TRACE(kill ? "mark_failed + take_program" : "take_program");
+    CoreHarness h;
+    std::vector<Entry> log;
+    Core& core = h.chip.core(1);
+    core.load_program(std::make_unique<StartLog>(&log, 200'000));
+    core.start();
+    h.sim.run();
+    const TimeNs t0 = h.sim.now();
+    core.timer_interrupt();  // 1.25 ms handler
+    h.sim.run_until(t0 + 10 * kMicrosecond);
+    if (kill) core.mark_failed();
+    ASSERT_NE(core.take_program(), nullptr);
+    EXPECT_EQ(core.state(), CoreState::Off);
+
+    core.load_program(std::make_unique<StartLog>(&log, 100, 400'000));
+    core.start();
+    h.sim.run_until(t0 + 20 * kMicrosecond);
+    ASSERT_EQ(core.state(), CoreState::Busy);
+    core.packet_interrupt(mc_packet());
+    h.sim.run();
+    EXPECT_EQ(log, (std::vector<Entry>{{'T', 1, t0}, {'P', 1, t0 + 1'250'000}}));
+    EXPECT_EQ(h.sim.now(), t0 + 10 * kMicrosecond + 2'500'000)
+        << "the restarted handler's own completion is the last instant";
+  }
+}
+
+TEST(Core, RestartedHandlersOwnCompletionStillFollowsAStaleOne) {
+  // The stopped handler's completion ends the restarted 2.5 ms on_start
+  // with nothing queued.  The on_start's own completion still fires at its
+  // instant and ends the packet handler then running, so a second packet
+  // is served at once instead of waiting.
+  CoreHarness h;
+  std::vector<Entry> log;
+  Core& core = h.chip.core(1);
+  core.load_program(std::make_unique<StartLog>(&log, 200'000));
+  core.start();
+  h.sim.run();
+  const TimeNs t0 = h.sim.now();
+  core.timer_interrupt();  // 1.25 ms handler
+  h.sim.run_until(t0 + 10 * kMicrosecond);
+  ASSERT_NE(core.take_program(), nullptr);
+  core.load_program(std::make_unique<StartLog>(&log, 100, 400'000));
+  core.start();
+  const TimeNs own_end = t0 + 10 * kMicrosecond + 2'500'000;
+  h.sim.run_until(t0 + 1'250'000);
+  EXPECT_EQ(core.state(), CoreState::Sleeping);
+  h.sim.at(own_end - 300, [&core] { core.packet_interrupt(mc_packet()); });
+  h.sim.at(own_end + 100, [&core] { core.packet_interrupt(mc_packet()); });
+  h.sim.run();
+  EXPECT_EQ(log, (std::vector<Entry>{{'T', 1, t0},
+                                     {'P', 1, own_end - 300},
+                                     {'P', 1, own_end + 100}}));
+}
+
+TEST(Chip, RoutedPacketReachesItsCoresByOneEventInIndexOrder) {
+  CoreHarness h;
+  std::vector<Entry> log;
+  for (CoreIndex c = 1; c <= 3; ++c) {
+    h.chip.core(c).load_program(std::make_unique<StartLog>(&log, 1));
+    h.chip.core(c).start();
+  }
+  h.sim.run();
+  // Cores 3, 1, 2 and a core index the 8-core chip does not have.
+  h.chip.router().mc_table().add(
+      {0x100, ~0u,
+       router::Route::to_core(3).with_core(1).with_core(2).with_core(10)});
+  const TimeNs t0 = h.sim.now();
+  std::uint64_t before = h.sim.queue().executed();
+  h.chip.router().receive(mc_packet(), std::nullopt);
+  h.sim.run();
+  EXPECT_EQ(h.sim.queue().executed() - before, 2u)
+      << "the router pipeline, then one delivery to every core";
+  const TimeNs at = t0 + 100 + 50;  // pipeline + Comms NoC delivery
+  ASSERT_EQ(log, (std::vector<Entry>{{'P', 1, at}, {'P', 2, at}, {'P', 3, at}}));
+  EXPECT_EQ(h.chip.router().counters().delivered_local, 4u);
+
+  // With 1-instruction handlers, one delivery per core runs the handlers
+  // in the same order at the same offsets.
+  log.clear();
+  const TimeNs t1 = h.sim.now();
+  before = h.sim.queue().executed();
+  for (const CoreIndex c : {1, 2, 3}) {
+    h.chip.comms_noc().deliver(router::CoreSet::of(c), mc_packet());
+  }
+  h.sim.run();
+  EXPECT_EQ(h.sim.queue().executed() - before, 3u);
+  EXPECT_EQ(log, (std::vector<Entry>{
+                     {'P', 1, t1 + 50}, {'P', 2, t1 + 50}, {'P', 3, t1 + 50}}));
 }
 
 // ---- DMA through the System NoC ---------------------------------------------

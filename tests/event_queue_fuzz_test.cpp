@@ -7,6 +7,9 @@
 // (when, priority, actor, seq) total order, nothing ever executes before the
 // clock it was scheduled against, the clock is monotone, and
 // earliest_root_when() matches a reference multiset after every operation.
+// A tie-heavy variant draws most instants from a coarse grid, so that
+// (priority, actor, seq) decides most comparisons of the packed heap key —
+// the regime of a machine model, where many events share an instant.
 //
 // Part 2 runs a randomised multi-actor workload — self-scheduling event
 // trees with random cross-actor handoffs — on a standalone serial Simulator
@@ -34,10 +37,11 @@ EventPriority random_priority(Rng& rng) {
 
 // ---- Part 1: single-queue invariants ---------------------------------------
 
-class QueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// Spacing of the few instants the tie-heavy variant draws from.
+constexpr TimeNs kTieGrid = 25;
 
-TEST_P(QueueFuzz, TotalOrderAndClockInvariantsHold) {
-  Rng rng(GetParam());
+void fuzz_queue(std::uint64_t seed, bool tie_heavy) {
+  Rng rng(seed);
   EventQueue q;
   struct Observed {
     std::vector<EventKey> keys;
@@ -83,7 +87,13 @@ TEST_P(QueueFuzz, TotalOrderAndClockInvariantsHold) {
     const int ops = 1 + static_cast<int>(rng.uniform_int(8));
     for (int i = 0; i < ops; ++i) {
       const TimeNs now = q.now();
-      const TimeNs delay = static_cast<TimeNs>(rng.uniform_int(50));
+      TimeNs delay = static_cast<TimeNs>(rng.uniform_int(50));
+      if (tie_heavy && rng.chance(0.9)) {
+        // One of the next three grid instants at or after now.
+        const TimeNs first = (now + kTieGrid - 1) / kTieGrid * kTieGrid;
+        delay = first + kTieGrid * static_cast<TimeNs>(rng.uniform_int(3)) -
+                now;
+      }
       const EventPriority prio = random_priority(rng);
       const auto actor = static_cast<ActorId>(rng.uniform_int(5));
       switch (rng.uniform_int(6)) {
@@ -150,6 +160,30 @@ TEST_P(QueueFuzz, TotalOrderAndClockInvariantsHold) {
       }
     }
   }
+}
+
+class QueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(QueueFuzz, TotalOrderAndClockInvariantsHold) {
+  fuzz_queue(GetParam(), /*tie_heavy=*/false);
+}
+
+TEST_P(QueueFuzz, TieHeavyTotalOrderAndClockInvariantsHold) {
+  fuzz_queue(GetParam(), /*tie_heavy=*/true);
+}
+
+TEST(QueueFuzz, KeysBeyondThePackedKeyThrow) {
+  EventQueue q;
+  EXPECT_THROW(q.schedule_at_as(10, kActorLimit, [] {}), std::logic_error);
+  EXPECT_THROW(q.insert_foreign(
+                   EventKey{10, EventPriority::Default, 1, kSeqLimit}, 1,
+                   [] {}),
+               std::logic_error);
+  EXPECT_TRUE(q.empty()) << "a key that does not fit is never inserted";
+  q.schedule_at_as(10, kActorLimit - 1, [] {});
+  q.insert_foreign(EventKey{10, EventPriority::Default, 1, kSeqLimit - 1}, 1,
+                   [] {});
+  EXPECT_EQ(q.run(), 2u);
 }
 
 TEST(QueueFuzz, SchedulingIntoThePastStillThrows) {

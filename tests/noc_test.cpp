@@ -2,6 +2,7 @@
 // SDRAM port and the Communications NoC's core-to-router injection path.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "noc/comms_noc.hpp"
@@ -153,10 +154,26 @@ TEST(CommsNoc, DeliveryAddsFixedLatency) {
     delivered_at = sim.now();
   });
   router::Packet p;
-  noc.deliver(7, p);
+  noc.deliver(router::CoreSet::of(7), p);
   sim.run();
   EXPECT_EQ(delivered_core, 7);
   EXPECT_EQ(delivered_at, 50);
+}
+
+TEST(CommsNoc, OneEventDeliversEveryCoreInIndexOrder) {
+  sim::Simulator sim(1);
+  CommsNocConfig cfg;
+  cfg.delivery_latency_ns = 50;
+  CommsNoc noc(sim, cfg);
+  std::vector<std::pair<CoreIndex, TimeNs>> delivered;
+  noc.set_core_sink([&](CoreIndex c, const router::Packet&) {
+    delivered.emplace_back(c, sim.now());
+  });
+  router::Packet p;
+  noc.deliver(router::CoreSet::of(5).with(1).with(3), p);
+  EXPECT_EQ(sim.run(), 1u) << "one event for the three copies";
+  EXPECT_EQ(delivered, (std::vector<std::pair<CoreIndex, TimeNs>>{
+                           {1, 50}, {3, 50}, {5, 50}}));
 }
 
 TEST(CommsNoc, TwentyCoreBurstDrainsInOrder) {

@@ -45,8 +45,9 @@ struct Harness {
       router.port(d).set_sink(
           [this, d](const Packet& p) { out.emplace_back(d, p); });
     }
-    router.set_local_sink(
-        [this](CoreIndex c, const Packet& p) { local.emplace_back(c, p); });
+    router.set_local_sink([this](CoreSet cores, const Packet& p) {
+      cores.for_each([&](CoreIndex c) { local.emplace_back(c, p); });
+    });
     router.set_monitor_sink([this](const Packet& p) { monitor.push_back(p); });
     router.set_monitor_notify(
         [this](const RouterEvent& e) { events.push_back(e); });
@@ -96,6 +97,20 @@ TEST(Router, MulticastFanOutToLinksAndCores) {
   EXPECT_EQ(h.local[0].first, 2);
   EXPECT_EQ(h.router.counters().forwarded, 2u);
   EXPECT_EQ(h.router.counters().delivered_local, 1u);
+}
+
+TEST(Router, LocalCoresOfARouteShareOneDelivery) {
+  Harness h;
+  std::vector<CoreSet> deliveries;
+  h.router.set_local_sink(
+      [&](CoreSet cores, const Packet&) { deliveries.push_back(cores); });
+  h.router.mc_table().add(
+      {0x100, ~0u, Route::to_core(7).with_core(0).with_core(19)});
+  h.router.receive(mc(0x100), std::nullopt);
+  h.sim.run();
+  ASSERT_EQ(deliveries.size(), 1u);
+  EXPECT_EQ(deliveries[0], CoreSet::of(0).with(7).with(19));
+  EXPECT_EQ(h.router.counters().delivered_local, 3u);
 }
 
 TEST(Router, DefaultRoutingGoesStraightThrough) {

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/system.hpp"
+#include "net/client.hpp"
+#include "server/spec.hpp"
 #include "sim/sharded_simulator.hpp"
 
 namespace spinn {
@@ -345,6 +348,88 @@ TEST(ShardedEquivalence, ShardedRunsAreReproducible) {
   const Fingerprint b = run_case(c, 99u, sharded_engine(8));
   EXPECT_EQ(a, b);
 }
+
+// ---- pinned longrun streams -------------------------------------------------
+
+/// The wire benchmark's `longrun` net: 1000 Poisson sources driving 3000 LIF
+/// and 2000 Izhikevich neurons through four fixed-probability projections,
+/// on 6x6 chips of 4 cores with 1 us link flights.
+server::SessionSpec longrun_spec(std::uint64_t seed, sim::EngineKind engine) {
+  net::NetBuilder b;
+  b.poisson("noise", 1000, 30.0);
+  b.lif("exc", 3000);
+  b.izhikevich("izh", 2000);
+  const auto w = neural::ValueDist::uniform(2.0, 6.0);
+  const auto d = neural::ValueDist::uniform(1.0, 8.0);
+  b.project("noise", "exc", neural::Connector::fixed_probability(0.02), w, d);
+  b.project("noise", "izh", neural::Connector::fixed_probability(0.02), w, d);
+  b.project("exc", "izh", neural::Connector::fixed_probability(0.005), w, d);
+  b.project("izh", "exc", neural::Connector::fixed_probability(0.005), w, d,
+            /*inhibitory=*/true);
+  server::SessionSpec spec;
+  spec.width = 6;
+  spec.height = 6;
+  spec.cores_per_chip = 4;
+  spec.link_flight_ns = 1000;
+  spec.seed = seed;
+  spec.engine = engine;
+  if (engine == sim::EngineKind::Sharded) {
+    spec.shards = 4;
+    spec.threads = 2;
+  }
+  spec.net =
+      std::make_shared<const neural::NetworkDescription>(b.description());
+  return spec;
+}
+
+/// FNV-1a over each spike's time then key, 8 bytes each, low byte first.
+std::uint64_t stream_digest(
+    const std::vector<neural::SpikeRecorder::Event>& events) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& e : events) {
+    for (const std::uint64_t word : {static_cast<std::uint64_t>(e.time),
+                                     static_cast<std::uint64_t>(e.key)}) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (word >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+struct PinnedStream {
+  std::size_t spikes;
+  std::uint64_t digest;
+};
+
+/// 30 bio ms of seeds 1-3, recorded from a build known to be correct.  A
+/// change that claims bit-identical streams must leave these as they are;
+/// one that changes the simulation on purpose records new ones and says
+/// why.
+constexpr PinnedStream kPinnedLongrun[] = {
+    {5028, 0xeecbd215c74501d7ull},
+    {4938, 0xd8ec89bc35ce0222ull},
+    {4846, 0xcd3d2f0535bb39edull},
+};
+
+class LongrunStreams : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LongrunStreams, MatchPinnedDigestOnSerialAndShardedEngines) {
+  const std::uint64_t seed = GetParam();
+  const PinnedStream& want = kPinnedLongrun[seed - 1];
+  for (const sim::EngineKind engine :
+       {sim::EngineKind::Serial, sim::EngineKind::Sharded}) {
+    SCOPED_TRACE(engine == sim::EngineKind::Serial ? "serial"
+                                                   : "sharded 4x2");
+    const auto events = server::run_standalone(longrun_spec(seed, engine),
+                                               30 * kMillisecond);
+    EXPECT_EQ(events.size(), want.spikes);
+    EXPECT_EQ(stream_digest(events), want.digest);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LongrunStreams, ::testing::Values(1u, 2u, 3u));
 
 }  // namespace
 }  // namespace spinn

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event kernel and the statistics containers.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -135,6 +136,59 @@ TEST(EventQueue, ActionMayGrowTheQueueWhileItRuns) {
   q.run();
   EXPECT_EQ(children, 1000);
   EXPECT_EQ(q.executed(), 1001u);
+}
+
+TEST(EventQueue, ReservedKeyIsTheKeySchedulingWouldDraw) {
+  EventQueue q;
+  q.schedule_at_as(5, 3, [] {});  // actor 3 draws seq 0
+  const EventKey reserved = q.reserve_key_as(20, 3, EventPriority::Interrupt);
+  EXPECT_EQ(reserved, (EventKey{20, EventPriority::Interrupt, 3, 1}));
+  EXPECT_EQ(q.pending(), 1u) << "a reservation inserts nothing";
+  std::vector<int> order;
+  q.schedule_at_as(20, 3, [&] { order.push_back(2); },
+                   EventPriority::Interrupt);  // seq 2
+  q.insert_foreign(reserved, 3, [&] { order.push_back(1); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, DrainedStepAdvancesToTheLatestReservation) {
+  EventQueue q;
+  q.schedule_at(100, [] {});
+  q.reserve_key_as(500, 1, EventPriority::Interrupt);
+  q.reserve_key_as(300, 1, EventPriority::Interrupt);
+  EXPECT_EQ(q.latest_reserved(), 500);
+  EXPECT_EQ(q.run_until(200), 1u);
+  EXPECT_EQ(q.now(), 200) << "a bounded run stops at its bound";
+  EXPECT_EQ(q.run(), 0u);
+  EXPECT_EQ(q.now(), 500) << "the reserved events would have run";
+  q.reserve_key_as(900, 1, EventPriority::Interrupt);
+  q.clear();
+  EXPECT_FALSE(q.step());
+  EXPECT_EQ(q.now(), 500) << "clear() forgets the reservation";
+  q.reserve_key_as(900, 1, EventPriority::Interrupt);
+  q.reset();
+  EXPECT_FALSE(q.step());
+  EXPECT_EQ(q.now(), 0);
+}
+
+TEST(EventQueue, PackedKeyKeepsEveryFieldAtItsLimit) {
+  EventQueue q;
+  const EventKey top{std::numeric_limits<TimeNs>::max(),
+                     EventPriority::Background, kActorLimit - 1,
+                     kSeqLimit - 1};
+  const EventKey below{std::numeric_limits<TimeNs>::max(),
+                       EventPriority::Background, kActorLimit - 1,
+                       kSeqLimit - 2};
+  std::vector<int> order;
+  q.insert_foreign(top, 1, [&] { order.push_back(2); });
+  q.insert_foreign(below, 1, [&] { order.push_back(1); });
+  EXPECT_EQ(q.peek_key(), below);
+  ASSERT_TRUE(q.step());
+  EXPECT_EQ(q.current_key(), below);
+  EXPECT_EQ(q.peek_key(), top);
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(Simulator, ConvenienceWrappers) {
