@@ -23,11 +23,25 @@
 // waits, and one event delivers a routed packet to all its local cores.
 // A kernel change can therefore lower events and events/s for the same
 // simulated run; compare points across such a change by wall time.
+//
+// The second table runs the wire benchmark's `longrun` session of its seed
+// 1 (100 bio ms) serial and on 4 shards at 1, 2 and 4 threads, and counts
+// how evenly the shards share it.  Every window waits for its busiest
+// worker, so `busiest` (that worker's events, summed over windows) bounds
+// the run, and efficiency = events / (threads x busiest) is the share of
+// the threads' window time that did work.  These counts repeat exactly on
+// any host; the wall times do not.
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <thread>
 
+#include "common/clock.hpp"
 #include "core/system.hpp"
 #include "harness.hpp"
+#include "net/client.hpp"
+#include "server/spec.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace {
 
@@ -77,6 +91,125 @@ sim::EngineConfig sharded(std::uint32_t threads) {
   ec.shards = 8;
   ec.threads = threads;
   return ec;
+}
+
+/// The wire benchmark's `longrun` net: 1000 Poisson sources driving 3000
+/// LIF and 2000 Izhikevich neurons through four fixed-probability
+/// projections, on 6x6 chips of 4 cores with 1 us link flights, under the
+/// session seed its seed 1 derives.
+server::SessionSpec longrun_spec(const sim::EngineConfig& engine) {
+  net::NetBuilder b;
+  b.poisson("noise", 1000, 30.0);
+  b.lif("exc", 3000);
+  b.izhikevich("izh", 2000);
+  const auto w = neural::ValueDist::uniform(2.0, 6.0);
+  const auto d = neural::ValueDist::uniform(1.0, 8.0);
+  b.project("noise", "exc", neural::Connector::fixed_probability(0.02), w, d);
+  b.project("noise", "izh", neural::Connector::fixed_probability(0.02), w, d);
+  b.project("exc", "izh", neural::Connector::fixed_probability(0.005), w, d);
+  b.project("izh", "exc", neural::Connector::fixed_probability(0.005), w, d,
+            /*inhibitory=*/true);
+  server::SessionSpec spec;
+  spec.width = 6;
+  spec.height = 6;
+  spec.cores_per_chip = 4;
+  spec.link_flight_ns = 1000;
+  spec.seed = 57798645;
+  spec.engine = engine.kind;
+  spec.shards = engine.shards;
+  spec.threads = engine.threads;
+  spec.net =
+      std::make_shared<const neural::NetworkDescription>(b.description());
+  return spec;
+}
+
+struct LongrunResult {
+  std::uint64_t spikes = 0;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t busiest = 0;
+  std::vector<std::uint64_t> shard_events;
+  double run_ms = 0.0;  // System::run alone, not the build and load
+};
+
+LongrunResult run_longrun(const sim::EngineConfig& engine) {
+  const server::SessionSpec spec = longrun_spec(engine);
+  System sys(server::system_config(spec));
+  if (!sys.load(server::build_network(spec)).ok) return {};
+  const std::int64_t t0 = WallClock::now_ns();
+  sys.run(100 * kMillisecond);
+  LongrunResult r;
+  r.run_ms = static_cast<double>(WallClock::now_ns() - t0) / 1e6;
+  r.spikes = sys.spikes().count();
+  r.events = sys.engine().executed();
+  if (const auto* sharded =
+          dynamic_cast<const sim::ShardedSimulator*>(&sys.engine())) {
+    r.windows = sharded->windows_opened();
+    r.busiest = sharded->busiest_worker_events();
+    for (std::size_t s = 0; s < sharded->num_shards(); ++s) {
+      r.shard_events.push_back(sharded->shard_executed(s));
+    }
+  }
+  return r;
+}
+
+void longrun_table(spinn::bench::Harness& h) {
+  std::printf("\nwire longrun, seed 1, 100 bio ms: serial and 4 shards\n");
+  std::printf("%-12s %10s %10s %8s %10s %-36s %6s\n", "engine", "run(ms)",
+              "events", "windows", "busiest", "per-shard events", "eff");
+  // The run(ms) column is the fastest System::run of a section's runs.
+  const auto fastest = [](double best, double ms) {
+    return best == 0.0 ? ms : std::min(best, ms);
+  };
+  LongrunResult serial;
+  double serial_ms = 0.0;
+  h.run("longrun_serial", [&] {
+    serial = run_longrun(sim::EngineConfig{});
+    serial_ms = fastest(serial_ms, serial.run_ms);
+  });
+  std::printf("%-12s %10.1f %10llu %8s %10s %-36s %6s\n", "serial", serial_ms,
+              static_cast<unsigned long long>(serial.events), "-", "-", "-",
+              "-");
+  bool all_equal = true;
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    sim::EngineConfig ec;
+    ec.kind = sim::EngineKind::Sharded;
+    ec.shards = 4;
+    ec.threads = threads;
+    const std::string label = "4s" + std::to_string(threads) + "t";
+    const std::string section = "longrun_" + label;
+    LongrunResult r;
+    double best_ms = 0.0;
+    h.run(section, [&] {
+      r = run_longrun(ec);
+      best_ms = fastest(best_ms, r.run_ms);
+    });
+    std::string shards;
+    for (const std::uint64_t e : r.shard_events) {
+      if (!shards.empty()) shards += ' ';
+      shards += std::to_string(e);
+    }
+    // One thread runs every window alone, so it has no busiest worker.
+    const double eff =
+        r.busiest > 0 ? static_cast<double>(r.events) /
+                            (static_cast<double>(threads) *
+                             static_cast<double>(r.busiest))
+                      : 1.0;
+    const bool equal = r.spikes == serial.spikes && r.events == serial.events;
+    all_equal = all_equal && equal;
+    std::printf("%-12s %10.1f %10llu %8llu %10llu %-36s %6.3f%s\n",
+                label.c_str(), best_ms,
+                static_cast<unsigned long long>(r.events),
+                static_cast<unsigned long long>(r.windows),
+                static_cast<unsigned long long>(r.busiest), shards.c_str(),
+                eff, equal ? "" : "  MISMATCH vs serial!");
+    h.metric(section + "_busiest_events", static_cast<double>(r.busiest),
+             "events");
+    h.metric(section + "_efficiency", eff, "ratio");
+    h.metric(section + "_run_ms", best_ms, "ms");
+  }
+  h.metric("longrun_serial_run_ms", serial_ms, "ms");
+  h.metric("longrun_equality", all_equal ? 1.0 : 0.0, "bool");
 }
 
 }  // namespace
@@ -135,5 +268,6 @@ int main(int argc, char** argv) {
                : 0.0,
            "events/s");
   h.metric("spike_equality", all_equal ? 1.0 : 0.0, "bool");
+  longrun_table(h);
   return h.finish();
 }

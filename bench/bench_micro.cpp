@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot kernels: the
 // delay-insensitive codecs, multicast table lookup, event-queue operations,
 // neuron-slice updates, the deferred-event ring, topology routing, the
-// loader, the packet path's synaptic-row lookup and a longrun simulation.
+// loader and its connectivity scan, the packet path's synaptic-row lookup
+// and a longrun simulation.
 // These bound how large a machine/network the simulator itself can handle.
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
+#include "common/rng_stream.hpp"
 #include "core/system.hpp"
 #include "link/codes.hpp"
 #include "mesh/topology.hpp"
@@ -194,6 +196,50 @@ void BM_LoadLongrunNet(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(synapses));
 }
 BENCHMARK(BM_LoadLongrunNet)->Unit(benchmark::kMillisecond);
+
+/// Runs of 64 chance(p) candidates, the wire longrun's slice width, as the
+/// loader scans them: one chance_failures() per success or run end.
+/// Returns the successes.
+template <class Gen>
+std::uint64_t scan_runs(Gen& gen, const Chance& chance, std::uint64_t runs) {
+  constexpr std::uint64_t kRun = 64;
+  std::uint64_t successes = 0;
+  for (std::uint64_t r = 0; r < runs; ++r) {
+    for (std::uint64_t j = 0;; ++j) {
+      j += gen.chance_failures(chance, kRun - j);
+      if (j >= kRun) break;
+      ++successes;
+    }
+  }
+  return successes;
+}
+
+/// The loader's connectivity scan alone: time per draw (one per candidate)
+/// from Rng (stream:0) or RngStream (stream:1), at p = 1 / one_in.  The
+/// stream lives across iterations, so its setup is not timed.
+void BM_ConnectivityScan(benchmark::State& state) {
+  const bool use_stream = state.range(0) != 0;
+  const Chance chance(1.0 / static_cast<double>(state.range(1)));
+  constexpr std::uint64_t kRuns = 1024;
+  if (use_stream && !RngStream::available()) {
+    state.SkipWithError("no vector kernel on this CPU");
+    return;
+  }
+  Rng rng(8);
+  std::unique_ptr<RngStream> stream;
+  if (use_stream) stream = std::make_unique<RngStream>(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(use_stream ? scan_runs(*stream, chance, kRuns)
+                                        : scan_runs(rng, chance, kRuns));
+  }
+  // Time per draw, shown with its SI prefix (2.1ns).
+  state.counters["per_draw"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kRuns * 64),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ConnectivityScan)
+    ->ArgNames({"stream", "one_in"})
+    ->ArgsProduct({{0, 1}, {50, 200}});
 
 /// 10 bio ms of the longrun net on the serial engine, loaded outside the
 /// timed region: the event queue, the packet path and the neuron kernels.

@@ -9,8 +9,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = sm.next();
 }
 
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
 std::uint64_t Rng::uniform_int(std::uint64_t n) {
   // Lemire's unbiased bounded generation (rejection on the low word).
   const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n

@@ -29,6 +29,29 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// A chance(p) trial as one integer compare per draw, for a p that many
+/// trials share.  uniform() < p exactly when (next() >> 11) is below
+/// ceil(p * 2^53), since scaling by 2^53 is exact, and so exactly when
+/// next() is below that bound shifted back up by 11 bits.
+struct Chance {
+  explicit Chance(double p)
+      : draws(!(p <= 0.0) && !(p >= 1.0)),
+        succeeds(p >= 1.0),
+        // p < 1 keeps the ceiling below 2^53, so the shift cannot overflow;
+        // a NaN p gets bound 0, which no draw is below.
+        bound(draws && !std::isnan(p)
+                  ? static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53)) << 11
+                  : 0) {}
+
+  /// False for p <= 0 (every trial fails) and p >= 1 (every trial
+  /// succeeds): like chance(), such a trial draws nothing.
+  bool draws;
+  /// The outcome of a trial that draws nothing.
+  bool succeeds;
+  /// A trial that draws x succeeds when x < bound.
+  std::uint64_t bound;
+};
+
 /// xoshiro256** — fast, high-quality 64-bit generator.
 class Rng {
  public:
@@ -46,7 +69,7 @@ class Rng {
   double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
   /// Uniform integer in [0, n).  n must be > 0.
   std::uint64_t uniform_int(std::uint64_t n);
@@ -65,17 +88,17 @@ class Rng {
   /// it draws nothing for p <= 0 (every trial fails) or p >= 1 (the first
   /// succeeds), and a NaN p fails every trial, one draw each.
   std::uint64_t chance_failures(double p, std::uint64_t limit) {
-    if (p >= 1.0) return 0;
-    if (p <= 0.0) return limit;
-    // uniform() < p  <=>  (next() >> 11) < p * 2^53  <=>  the integer draw
-    // is below ceil(p * 2^53), which is exact: scaling by 2^53 is.
-    const std::uint64_t below =
-        std::isnan(p) ? 0
-                      : static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    return chance_failures(Chance(p), limit);
+  }
+
+  /// chance_failures() with the trial's threshold computed once, for a
+  /// caller that runs many scans at one p.
+  std::uint64_t chance_failures(const Chance& chance, std::uint64_t limit) {
+    if (!chance.draws) return chance.succeeds ? 0 : limit;
     // The state lives in locals for the whole scan, not behind `this`.
     std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
     std::uint64_t failures = 0;
-    while (failures < limit && (step(s0, s1, s2, s3) >> 11) >= below) {
+    while (failures < limit && step(s0, s1, s2, s3) >= chance.bound) {
       ++failures;
     }
     s_[0] = s0;
@@ -109,6 +132,8 @@ class Rng {
   static Rng fork(std::uint64_t seed, std::uint64_t stream);
 
  private:
+  friend class RngStream;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -1,5 +1,7 @@
 #include "map/loader.hpp"
 
+#include "common/rng_stream.hpp"
+
 namespace spinn::map {
 
 namespace {
@@ -12,12 +14,15 @@ using Staging = std::vector<std::vector<neural::StagedSynapse>>;
 /// candidate post neurons in order, every candidate of a fixed-probability
 /// projection taking one chance(p) trial and every synapse its delay and
 /// then its weight.  The self pair of a projection without self
-/// connections is no candidate and takes no trial.
+/// connections is no candidate and takes no trial.  `gen` is the load's
+/// Rng or an RngStream of its outputs; either makes the same draws.
+template <class Gen>
 std::uint64_t expand(const neural::Projection& proj,
                      const neural::Network& net,
-                     const PlacementResult& placement, Rng& rng,
+                     const PlacementResult& placement, Gen& gen,
                      Staging& staged) {
   const neural::Connector& conn = proj.connector;
+  const Chance chance(conn.probability);
   const std::vector<std::size_t>& post_slices =
       placement.by_population[proj.post];
   std::uint64_t count = 0;
@@ -27,8 +32,8 @@ std::uint64_t expand(const neural::Projection& proj,
     // Delay first, then weight, as named draws: C++ leaves the order in
     // which a call's arguments are evaluated unspecified, so drawing both
     // inside one argument list made the synapses depend on the compiler.
-    const double d_ms = proj.delay_ms.sample(rng);
-    const double w = proj.weight.sample(rng);
+    const double d_ms = proj.delay_ms.sample(gen);
+    const double w = proj.weight.sample(gen);
     neural::Synapse syn;
     syn.weight_raw = neural::Synapse::pack_weight(w);
     syn.inhibitory = proj.inhibitory;
@@ -53,8 +58,7 @@ std::uint64_t expand(const neural::Projection& proj,
       return;
     }
     for (std::uint32_t j = lo;; ++j) {
-      j += static_cast<std::uint32_t>(rng.chance_failures(conn.probability,
-                                                          hi - j));
+      j += static_cast<std::uint32_t>(gen.chance_failures(chance, hi - j));
       if (j >= hi) return;
       add(key, q, j);
     }
@@ -128,9 +132,26 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
 
   // 3. Generate the synapses, staged per target slice (every slice has a
   //    core of its own); step 4 builds each slice's rows from its stage.
+  //    A load with a block's worth of fixed-probability candidates draws
+  //    from a vector stream of rng's outputs where the CPU has one.
   Staging staged(placement.slices.size());
+  const auto expand_all = [&](auto& gen) {
+    for (const neural::Projection& proj : net.projections()) {
+      report.total_synapses += expand(proj, net, placement, gen, staged);
+    }
+  };
+  std::uint64_t candidates = 0;
   for (const neural::Projection& proj : net.projections()) {
-    report.total_synapses += expand(proj, net, placement, rng, staged);
+    if (proj.connector.kind == neural::ConnectorKind::FixedProbability) {
+      candidates += std::uint64_t{net.population(proj.pre).size} *
+                    net.population(proj.post).size;
+    }
+  }
+  if (candidates >= RngStream::kBlock && RngStream::available()) {
+    RngStream stream(rng);
+    expand_all(stream);
+  } else {
+    expand_all(rng);
   }
 
   // 4. Charge SDRAM and install the applications.

@@ -37,6 +37,8 @@ class Loader {
   explicit Loader(MapperConfig cfg) : cfg_(cfg) {}
 
   /// Place, route, build rows, install programs.  `recorder` may be null.
+  /// The synapses draw from `rng`, which the load leaves after its last
+  /// draw whichever generator made them (see ARCHITECTURE.md, src/map).
   LoadReport load(const neural::Network& net, mesh::Machine& machine,
                   neural::SpikeRecorder* recorder, Rng& rng);
 

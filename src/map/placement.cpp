@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 namespace spinn::map {
 
@@ -23,23 +24,6 @@ PlacementResult place(const neural::Network& net, mesh::Machine& machine,
   PlacementResult result;
   result.by_population.resize(net.populations().size());
 
-  // A slice's neurons are numbered in the low kNeuronKeyBits of its keys.
-  // These errors reach a session's status (and so a wire client who
-  // described the net), so they carry the numbers to fix it with.
-  constexpr std::uint32_t kMaxSlice = std::uint32_t{1} << kNeuronKeyBits;
-  for (const neural::Population& pop : net.populations()) {
-    const std::uint32_t widest = std::min(cfg.neurons_per_core, pop.size);
-    if (widest > kMaxSlice) {
-      result.fits = false;
-      result.error = "population '" + pop.name + "' needs " +
-                     std::to_string(widest) + "-neuron slices at " +
-                     std::to_string(cfg.neurons_per_core) +
-                     " neurons_per_core, but the key layout holds " +
-                     std::to_string(kMaxSlice) + " neurons per slice";
-      return result;
-    }
-  }
-
   // Enumerate every usable application core in machine scan order.
   struct FreeCore {
     CoreId id;
@@ -52,6 +36,13 @@ PlacementResult place(const neural::Network& net, mesh::Machine& machine,
     for (const CoreIndex core : app_cores(machine.chip_at(cc))) {
       free_cores.push_back(FreeCore{CoreId{cc, core}});
     }
+  }
+  result.error =
+      placement_error(net.populations(), cfg.neurons_per_core,
+                      free_cores.size());
+  if (!result.error.empty()) {
+    result.fits = false;
+    return result;
   }
 
   std::size_t cursor = 0;   // next free core (linear packing)
@@ -70,7 +61,8 @@ PlacementResult place(const neural::Network& net, mesh::Machine& machine,
   std::vector<bool> used(free_cores.size(), false);
   std::size_t scatter_pos = 0;
 
-  auto next_core = [&]() -> std::optional<CoreId> {
+  // placement_error() counted a free core for every slice.
+  auto next_core = [&]() -> CoreId {
     if (cfg.scatter) {
       for (std::size_t tries = 0; tries < free_cores.size(); ++tries) {
         scatter_pos = (scatter_pos + scatter_stride) % free_cores.size();
@@ -79,11 +71,9 @@ PlacementResult place(const neural::Network& net, mesh::Machine& machine,
           return free_cores[scatter_pos].id;
         }
       }
-      return std::nullopt;
+      throw std::logic_error("place: no free core left for a slice");
     }
-    if (cursor >= free_cores.size()) return std::nullopt;
-    used[cursor] = true;
-    return free_cores[cursor++].id;
+    return free_cores.at(cursor++).id;
   };
 
   for (const neural::Population& pop : net.populations()) {
@@ -91,27 +81,11 @@ PlacementResult place(const neural::Network& net, mesh::Machine& machine,
     while (placed < pop.size) {
       const std::uint32_t chunk =
           std::min(cfg.neurons_per_core, pop.size - placed);
-      const std::optional<CoreId> core = next_core();
-      if (!core.has_value()) {
-        std::uint64_t required = 0;
-        for (const neural::Population& p : net.populations()) {
-          required += (static_cast<std::uint64_t>(p.size) +
-                       cfg.neurons_per_core - 1) /
-                      cfg.neurons_per_core;
-        }
-        result.fits = false;
-        result.error = "network does not fit on the machine: " +
-                       std::to_string(net.total_neurons()) + " neurons need " +
-                       std::to_string(required) + " cores at " +
-                       std::to_string(cfg.neurons_per_core) +
-                       " neurons_per_core";
-        return result;
-      }
       Slice s;
       s.pop = pop.id;
       s.first_neuron = placed;
       s.num_neurons = chunk;
-      s.core = *core;
+      s.core = next_core();
       s.key_base =
           static_cast<RoutingKey>(slice_counter << kNeuronKeyBits);
       result.by_population[pop.id].push_back(result.slices.size());

@@ -8,6 +8,7 @@
 // requirement — tests also exercise a scattering strategy).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -55,10 +56,46 @@ struct PlacementResult {
 /// Cores on `c` available to applications (everything but the monitor).
 std::vector<CoreIndex> app_cores(const chip::Chip& c);
 
+/// Why place() refuses `populations` (each with a `name` and a `size`:
+/// a net's or a description's) at `neurons_per_core` on `app_cores`
+/// application cores, or "" when it places them.  It refuses a slice wider
+/// than the key layout (1 << kNeuronKeyBits neurons), whose upper neurons
+/// would send the next slice's keys, and a net that needs more cores than
+/// there are.  Admission asks the same before a session is opened.  The
+/// errors reach a wire client who described the net, so they carry the
+/// numbers to fix it with.
+template <class Populations>
+std::string placement_error(const Populations& populations,
+                            std::uint32_t neurons_per_core,
+                            std::uint64_t app_cores) {
+  if (neurons_per_core == 0) return "neurons_per_core must be >= 1";
+  constexpr std::uint32_t kMaxSlice = std::uint32_t{1} << kNeuronKeyBits;
+  std::uint64_t neurons = 0;
+  std::uint64_t slices = 0;
+  for (const auto& pop : populations) {
+    const std::uint32_t widest = std::min(neurons_per_core, pop.size);
+    if (widest > kMaxSlice) {
+      return "population '" + pop.name + "' needs " + std::to_string(widest) +
+             "-neuron slices at " + std::to_string(neurons_per_core) +
+             " neurons_per_core, but the key layout holds " +
+             std::to_string(kMaxSlice) + " neurons per slice";
+    }
+    neurons += pop.size;
+    slices += (std::uint64_t{pop.size} + neurons_per_core - 1) /
+              neurons_per_core;
+  }
+  if (slices > app_cores) {
+    return "network does not fit on the machine: " + std::to_string(neurons) +
+           " neurons need " + std::to_string(slices) + " cores at " +
+           std::to_string(neurons_per_core) + " neurons_per_core, of " +
+           std::to_string(app_cores) + " application cores";
+  }
+  return {};
+}
+
 /// Cuts every population into slices of at most cfg.neurons_per_core
-/// neurons, one slice per core.  Refuses a slice wider than the key layout
-/// (1 << kNeuronKeyBits neurons), whose upper neurons would send the next
-/// slice's keys, and a net that needs more cores than the machine has.
+/// neurons, one slice per core, or refuses the net as placement_error()
+/// says, counting the machine's working application cores.
 PlacementResult place(const neural::Network& net, mesh::Machine& machine,
                       const MapperConfig& cfg);
 

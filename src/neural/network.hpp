@@ -70,8 +70,12 @@ struct ValueDist {
   static ValueDist fixed(double v) { return ValueDist{v, v}; }
   static ValueDist uniform(double lo, double hi) { return ValueDist{lo, hi}; }
 
-  double sample(Rng& rng) const {
-    return lo >= hi ? lo : rng.uniform(lo, hi);
+  /// A value drawn from `gen`, an Rng or a stream of its outputs
+  /// (RngStream): a range takes one uniform(lo, hi) draw, a fixed value
+  /// none.
+  template <class Gen>
+  double sample(Gen& gen) const {
+    return lo >= hi ? lo : gen.uniform(lo, hi);
   }
 };
 

@@ -129,14 +129,22 @@ bool validate(const SessionSpec& spec, std::string* error) {
     // net_names is the parser's certificate that the description was
     // already validated element-by-element (with errors attributed to
     // their wire lines) — admission doesn't pay a second full pass.
-    if (spec.net_names != nullptr) return true;
     std::string net_error;
-    if (!neural::validate(*spec.net, &net_error)) {
+    if (spec.net_names == nullptr &&
+        !neural::validate(*spec.net, &net_error)) {
       return fail("inline network: " + net_error);
     }
-    return true;
+  } else if (!known_app(spec.app)) {
+    return fail("unknown app '" + spec.app + "'");
   }
-  if (!known_app(spec.app)) return fail("unknown app '" + spec.app + "'");
+  // What the placer would refuse at load, refused before a session exists:
+  // every chip's cores but its monitor run applications.
+  const neural::NetworkDescription& desc =
+      spec.net != nullptr ? *spec.net : app_description(spec.app);
+  const std::string misfit = map::placement_error(
+      desc.populations, spec.neurons_per_core,
+      std::uint64_t{spec.width} * spec.height * (spec.cores_per_chip - 1u));
+  if (!misfit.empty()) return fail(misfit);
   return true;
 }
 

@@ -72,7 +72,8 @@ bool known_app(const std::string& name);
 /// return the "noise" description (build_network's historic fallback).
 const neural::NetworkDescription& app_description(const std::string& name);
 
-/// Validate a spec (dimensions, app name or inline description).  Returns
+/// Validate a spec (dimensions, app name or inline description, and that
+/// the placer fits the net on the machine: map::placement_error).  Returns
 /// true when compilable; otherwise false with a reason in *error.
 bool validate(const SessionSpec& spec, std::string* error);
 

@@ -183,7 +183,7 @@ void ShardedSimulator::reset(std::uint64_t seed) {
   hooks_.clear();
   parallel_active_ = false;
   windows_opened_ = 0;
-  window_executed_.store(0, std::memory_order_relaxed);
+  busiest_worker_events_ = 0;
   {
     MutexLock lk(&error_mutex_);
     pending_error_ = nullptr;
@@ -299,7 +299,6 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
     window_bound_ = bound;
     window_inclusive_ = final_window;
     parallel_active_ = true;
-    window_executed_.store(0, std::memory_order_relaxed);
     // Telemetry: the window span covers release → barrier, the barrier
     // histogram isolates the wait for the other shards after this thread's
     // own slice ran — a hot barrier means shard imbalance, not load.
@@ -316,7 +315,12 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
     obs::Tracer::global().complete("engine", "engine.window", win_t0,
                                    barrier_t1 - win_t0, "bound",
                                    static_cast<std::uint64_t>(bound));
-    total += window_executed_.load(std::memory_order_relaxed);
+    std::uint64_t busiest = 0;
+    for (const std::uint64_t n : worker_executed_) {
+      total += n;
+      busiest = std::max(busiest, n);
+    }
+    busiest_worker_events_ += busiest;
     {
       MutexLock lk(&error_mutex_);
       if (pending_error_) {
@@ -369,7 +373,7 @@ void ShardedSimulator::run_slice(std::uint32_t worker, TimeNs bound,
     MutexLock lk(&error_mutex_);
     if (!pending_error_) pending_error_ = std::current_exception();
   }
-  window_executed_.fetch_add(executed, std::memory_order_relaxed);
+  worker_executed_[worker] = executed;
 }
 
 void ShardedSimulator::drain_mailboxes() {
@@ -392,6 +396,7 @@ void ShardedSimulator::ensure_workers() {
   if (!workers_.empty() || num_threads_ <= 1) return;
   pool_threads_ = std::min<std::uint32_t>(
       num_threads_, static_cast<std::uint32_t>(shards_.size()));
+  worker_executed_.assign(pool_threads_, 0);
   workers_.reserve(pool_threads_ - 1);
   for (std::uint32_t w = 1; w < pool_threads_; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });

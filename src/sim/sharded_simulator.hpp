@@ -86,6 +86,20 @@ class ShardedSimulator final : public ISimulationEngine {
   /// tests/sharded_sim_test.cpp pins the fix with this counter).
   std::uint64_t windows_opened() const { return windows_opened_; }
 
+  /// The events of each window's busiest worker, summed over the parallel
+  /// windows so far.  Every window waits for its busiest worker, so
+  /// executed() / (threads x this) is the share of the threads' window
+  /// time that did work.  A count of the partition, not of the host: it
+  /// repeats exactly for a given run.
+  std::uint64_t busiest_worker_events() const {
+    return busiest_worker_events_;
+  }
+
+  /// Events executed on `shard`'s queue, in windows and on the merge.
+  std::uint64_t shard_executed(std::size_t shard) const {
+    return shards_.at(shard).ctx->queue().executed();
+  }
+
  private:
   struct Mail {
     EventKey key;
@@ -143,15 +157,19 @@ class ShardedSimulator final : public ISimulationEngine {
   // fetch_add, and workers read them strictly after observing the new
   // phase with acquire — the phase counter is the publication fence, so a
   // mutex here would buy nothing but a barrier-hot-path lock.  The same
-  // protocol covers the per-shard outboxes: each worker writes only its
-  // own shard's outbox during a window, and the coordinator merges them
-  // (drain_mailboxes) only after every worker has checked in through the
-  // done_ acquire.
+  // protocol covers the per-shard outboxes and worker_executed_: each
+  // worker writes only its own shards' outboxes and its own slot during a
+  // window, and the coordinator reads them (drain_mailboxes, the window's
+  // counts) only after every worker has checked in through the done_
+  // acquire.
   TimeNs window_bound_ = 0;
   bool window_inclusive_ = false;
   bool parallel_active_ = false;
-  std::atomic<std::uint64_t> window_executed_{0};
+  /// Events each worker ran in the current window, written only by that
+  /// worker (slot 0: the coordinator) before it checks in.
+  std::vector<std::uint64_t> worker_executed_;
   std::uint64_t windows_opened_ = 0;
+  std::uint64_t busiest_worker_events_ = 0;
 };
 
 }  // namespace spinn::sim

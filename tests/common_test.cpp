@@ -12,6 +12,7 @@
 #include "common/fixed_point.hpp"
 #include "common/ring_fifo.hpp"
 #include "common/rng.hpp"
+#include "common/rng_stream.hpp"
 #include "common/types.hpp"
 
 namespace spinn {
@@ -139,6 +140,111 @@ TEST(Rng, ChanceFailuresThresholdIsExactAtTheDraw) {
     EXPECT_EQ(scan.chance_failures(std::nextafter(u, 1.0), 1), 0u)
         << "u=" << u;
   }
+}
+
+// ---- rng stream --------------------------------------------------------------
+// The stream is only built on a CPU with a vector kernel; elsewhere callers
+// keep Rng, and these tests have nothing to check.
+
+TEST(RngStream, EqualsRngNextAcrossBlockRefills) {
+  if (!RngStream::available()) GTEST_SKIP() << "no vector kernel on this CPU";
+  // Three and a half blocks: the lane starts, three jumps and a partial
+  // block, for several seeds.
+  for (const std::uint64_t seed : {1ull, 7ull, 0x10adD00Dull, ~0ull}) {
+    Rng ref(seed);
+    Rng src(seed);
+    {
+      RngStream stream(src);
+      for (std::size_t i = 0; i < 3 * RngStream::kBlock + 1234; ++i) {
+        ASSERT_EQ(stream.next(), ref.next()) << "seed=" << seed << " i=" << i;
+      }
+    }
+    EXPECT_EQ(src.next(), ref.next()) << "seed=" << seed;
+  }
+}
+
+TEST(RngStream, LeavesTheRngAfterItsLastOutput) {
+  if (!RngStream::available()) GTEST_SKIP() << "no vector kernel on this CPU";
+  // Every lane's first and last output, a block's edges and none at all.
+  constexpr std::size_t kL = RngStream::kLaneOutputs;
+  constexpr std::size_t kB = RngStream::kBlock;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kL - 1, kL,
+                              kL + 1, 5 * kL + 17, kB - 1, kB, kB + 1,
+                              2 * kB + 3 * kL}) {
+    Rng ref(33);
+    Rng src(33);
+    {
+      RngStream stream(src);
+      for (std::size_t i = 0; i < n; ++i) stream.next();
+    }
+    for (std::size_t i = 0; i < n; ++i) ref.next();
+    EXPECT_EQ(src.next(), ref.next()) << "n=" << n;
+  }
+}
+
+TEST(RngStream, ChanceFailuresEqualsRng) {
+  if (!RngStream::available()) GTEST_SKIP() << "no vector kernel on this CPU";
+  // Runs at each p, started just before a block's end so that long ones
+  // straddle it, then a draw between runs as the loader's synapses make.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double p : {0.0, 1.0, -0.5, 1.5, nan, 0x1.0p-60, 0x1.0p-53,
+                         0.005, 0.02, 0.5, 1.0 - 0x1.0p-53}) {
+    for (const std::uint64_t limit :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{64},
+          std::uint64_t{5000}, std::uint64_t{RngStream::kBlock + 100}}) {
+      Rng ref(21);
+      Rng src(21);
+      const Chance chance(p);
+      {
+        RngStream stream(src);
+        for (std::size_t i = 0; i < RngStream::kBlock - 37; ++i) {
+          ASSERT_EQ(stream.next(), ref.next());
+        }
+        for (int call = 0; call < 40; ++call) {
+          ASSERT_EQ(stream.chance_failures(chance, limit),
+                    ref.chance_failures(p, limit))
+              << "p=" << p << " limit=" << limit << " call=" << call;
+          ASSERT_EQ(stream.next(), ref.next())
+              << "p=" << p << " limit=" << limit << " call=" << call;
+        }
+      }
+      EXPECT_EQ(src.next(), ref.next()) << "p=" << p << " limit=" << limit;
+    }
+  }
+}
+
+TEST(RngStream, MixedCallsEqualRng) {
+  if (!RngStream::available()) GTEST_SKIP() << "no vector kernel on this CPU";
+  // 200k calls the way a load interleaves them: scans at a few bounds
+  // (each change of bound re-marks the block from the current output),
+  // single draws and uniform ranges.
+  const double ps[] = {0.02, 0.005, 0.3, 0x1.0p-60, 0.0, 1.0};
+  Rng pick(99);
+  Rng ref(5);
+  Rng src(5);
+  {
+    RngStream stream(src);
+    for (int call = 0; call < 200000; ++call) {
+      switch (pick.uniform_int(3)) {
+        case 0: {
+          const double p = ps[pick.uniform_int(std::size(ps))];
+          const std::uint64_t limit = pick.uniform_int(300);
+          ASSERT_EQ(stream.chance_failures(Chance(p), limit),
+                    ref.chance_failures(p, limit))
+              << "call=" << call << " p=" << p << " limit=" << limit;
+          break;
+        }
+        case 1:
+          ASSERT_EQ(stream.next(), ref.next()) << "call=" << call;
+          break;
+        default:
+          ASSERT_EQ(stream.uniform(1.0, 8.0), ref.uniform(1.0, 8.0))
+              << "call=" << call;
+          break;
+      }
+    }
+  }
+  EXPECT_EQ(src.next(), ref.next());
 }
 
 TEST(Rng, PoissonMeanMatches) {

@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/rng_stream.hpp"
 #include "core/system.hpp"
 #include "map/loader.hpp"
 #include "map/placement.hpp"
@@ -445,18 +446,30 @@ TEST(Loader, DrawsEachSynapseDelayThenWeight) {
   // p = 1.  Replayed pair by pair, every candidate takes one chance()
   // trial (the self pair none), and every synapse then its delay and its
   // weight draw.  x's rows hold the p = 0.4 synapses, then the p = 1 ones.
+  // u's 40,000 candidates are more than a block of the vector stream, so
+  // on a CPU with a vector kernel the load draws from it, and the replay
+  // checks it against Rng.
   SystemConfig sliced_cfg = cfg;
+  sliced_cfg.machine = machine_config(4, 4, 4);
   sliced_cfg.mapper.neurons_per_core = 5;
   System sliced(sliced_cfg);
   neural::Network fp;
   const auto x = fp.add_lif("x", 4);
   const auto y = fp.add_lif("y", 12);  // slices of 5, 5 and 2
   const auto z = fp.add_lif("z", 3);
+  const auto u = fp.add_lif("u", 200);
   using neural::Connector;
   fp.connect(x, y, Connector::fixed_probability(0.4), weight, delay);
+  fp.connect(u, u, Connector::fixed_probability(0.02), weight, delay);
   fp.connect(y, y, Connector::fixed_probability(0.5), weight, delay);
   fp.connect(z, y, Connector::fixed_probability(0.0), weight, delay);
   fp.connect(x, y, Connector::fixed_probability(1.0), weight, delay);
+  std::uint64_t candidates = 0;
+  for (const neural::Projection& proj : fp.projections()) {
+    candidates += std::uint64_t{fp.population(proj.pre).size} *
+                  fp.population(proj.post).size;
+  }
+  ASSERT_GE(candidates, RngStream::kBlock);
   const LoadReport fp_report = sliced.load(fp);
   ASSERT_TRUE(fp_report.ok) << fp_report.error;
   const PlacementResult& fp_placement = fp_report.placement;
@@ -519,6 +532,33 @@ TEST(Loader, DrawsEachSynapseDelayThenWeight) {
     for (std::uint32_t j = 0; j < qs.num_neurons; ++j) {
       EXPECT_EQ(row[row.size() - qs.num_neurons + j].target, j);
     }
+  }
+}
+
+// Whichever generator made its draws, a load leaves its Rng after the last
+// one: a trial per candidate pair, then a delay and a weight per synapse.
+// 200 x 200 candidates are more than a block of the vector stream, 40 x 40
+// fewer.
+TEST(Loader, LeavesTheRngAfterItsLastDraw) {
+  for (const std::uint32_t n : {40u, 200u}) {
+    sim::Simulator sim(1);
+    mesh::Machine m(sim, machine_config());
+    neural::Network net;
+    const auto a = net.add_lif("a", n);
+    const auto b = net.add_lif("b", n);
+    net.connect(a, b, neural::Connector::fixed_probability(0.1),
+                neural::ValueDist::uniform(1.0, 4.0),
+                neural::ValueDist::uniform(1.0, 8.0));
+    Loader loader(MapperConfig{});
+    Rng rng(77);
+    const LoadReport report = loader.load(net, m, nullptr, rng);
+    ASSERT_TRUE(report.ok) << report.error;
+    ASSERT_GT(report.total_synapses, 0u);
+    Rng replay(77);
+    const std::uint64_t draws =
+        std::uint64_t{n} * n + 2 * report.total_synapses;
+    for (std::uint64_t i = 0; i < draws; ++i) replay.next();
+    EXPECT_EQ(rng.next(), replay.next()) << "n=" << n;
   }
 }
 

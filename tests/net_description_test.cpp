@@ -823,60 +823,62 @@ TEST(NetNegative, RejectionsLeakNoSessionSlots) {
 }
 
 // A description that validates but cannot be placed on the requested
-// machine fails the *session* build — with the loader's quantified error
-// reaching status — never the server or the connection.
-TEST(NetNegative, UnplaceableNetFailsTheSessionCleanly) {
+// machine is refused at `open`, with the placer's quantified error: no
+// session is built only to fail its load, and the server and the
+// connection keep serving.
+TEST(NetNegative, UnplaceableNetIsRefusedAtOpen) {
   NetConfig cfg;
   cfg.session.workers = 1;
   NetServer srv(cfg);
   Client client(srv.port());
   NetBuilder b;
   b.poisson("src", 4, 5.0);
-  b.lif("big", 100000);  // valid description, but 2x2x6 cores hold 1536
+  b.lif("big", 100000);  // valid description, but 2x2x6 cores hold 1280
   b.project("src", "big", neural::Connector::one_to_one(),
             neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
   std::vector<std::string> lines = b.lines();
   lines.push_back("open app=@ seed=1");
-  lines.push_back("wait $");
-  lines.push_back("status $");
   const auto blocks = Client::split_response(client.batch(lines));
-  ASSERT_EQ(blocks.size(), 4u);
-  EXPECT_EQ(blocks[1].rfind("ok id=", 0), 0u) << blocks[1];
-  EXPECT_NE(blocks[3].find("state=failed"), std::string::npos) << blocks[3];
-  EXPECT_NE(blocks[3].find("does not fit"), std::string::npos) << blocks[3];
-  EXPECT_NE(blocks[3].find("neurons_per_core"), std::string::npos)
-      << blocks[3];
-  // The server keeps serving; the failed session closes cleanly.
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[1].rfind("err ", 0), 0u) << blocks[1];
+  EXPECT_NE(blocks[1].find("network does not fit on the machine: 100004 "
+                           "neurons need 1564 cores at 64 neurons_per_core, "
+                           "of 20 application cores"),
+            std::string::npos)
+      << blocks[1];
+  EXPECT_EQ(srv.sessions().stats().opened, 0u);
   EXPECT_EQ(client.request("ping"), "ok");
 }
 
 // neurons_per_core accepts up to 2^20 on the wire, but a slice's neurons are
-// numbered in 11 key bits: a net that would need a wider slice fails its
-// session with the placer's quantified error, instead of loading with the
-// upper neurons' spikes sent under the next slice's keys.
-TEST(NetNegative, SliceWiderThanTheKeyLayoutFailsTheSession) {
+// numbered in 11 key bits: a net that would need a wider slice is refused at
+// `open` with the placer's quantified error, instead of opening a session
+// whose load then fails.
+TEST(NetNegative, SliceWiderThanTheKeyLayoutIsRefusedAtOpen) {
   NetConfig cfg;
   cfg.session.workers = 1;
   NetServer srv(cfg);
   Client client(srv.port());
   NetBuilder b;
-  b.poisson("src", 3000, 5.0);
-  b.lif("dst", 10);
-  b.project("src", "dst", neural::Connector::all_to_all(),
-            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  b.lif("big", 3000);
   std::vector<std::string> lines = b.lines();
-  lines.push_back("open app=@ seed=1 neurons_per_core=4000");
-  lines.push_back("wait $");
-  lines.push_back("status $");
+  lines.push_back("open app=@ width=2 height=2 neurons_per_core=4096");
   const auto blocks = Client::split_response(client.batch(lines));
-  ASSERT_EQ(blocks.size(), 4u);
-  EXPECT_EQ(blocks[1].rfind("ok id=", 0), 0u) << blocks[1];
-  EXPECT_NE(blocks[3].find("state=failed"), std::string::npos) << blocks[3];
-  EXPECT_NE(blocks[3].find("3000-neuron slices at 4000 neurons_per_core"),
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[1].rfind("err ", 0), 0u) << blocks[1];
+  EXPECT_NE(blocks[1].find("population 'big' needs 3000-neuron slices at "
+                           "4096 neurons_per_core, but the key layout holds "
+                           "2048 neurons per slice"),
             std::string::npos)
-      << blocks[3];
-  EXPECT_NE(blocks[3].find("2048 neurons per slice"), std::string::npos)
-      << blocks[3];
+      << blocks[1];
+  EXPECT_EQ(srv.sessions().stats().opened, 0u);
+  // The widest slice the layout holds opens and runs.
+  lines.back() = "open app=@ width=2 height=2 neurons_per_core=2048";
+  lines.push_back("run $ 1");
+  const auto fits = Client::split_response(client.batch(lines));
+  ASSERT_EQ(fits.size(), 3u);
+  EXPECT_EQ(fits[1].rfind("ok id=", 0), 0u) << fits[1];
+  EXPECT_EQ(fits[2].rfind("ok", 0), 0u) << fits[2];
   EXPECT_EQ(client.request("ping"), "ok");
 }
 

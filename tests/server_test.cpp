@@ -272,24 +272,22 @@ TEST(SessionServer, ManualPollServicesSessions) {
   EXPECT_TRUE(same_events(server.drain(id), reference));
 }
 
-// A failing load surfaces as a Failed session, not a dead server.
-TEST(SessionServer, LoadFailureIsContained) {
+// A spec whose net the placer cannot fit is refused at open with the
+// placer's error, and counted, rather than opening a session whose load
+// fails; the server keeps serving.
+TEST(SessionServer, UnplaceableSpecIsRefusedAtOpen) {
   SessionSpec spec;
   spec.app = "noise";
   spec.cores_per_chip = 1;
-  spec.neurons_per_core = 1;  // 224 neurons can never fit on 4 cores
+  spec.neurons_per_core = 1;  // 224 neurons, no application core
   SessionServer server;
-  const SessionId id = server.open(spec);
-  ASSERT_NE(id, kInvalidSession);
-  server.run(id, kMillisecond);
-  server.wait(id);
-  const SessionStatus st = server.status(id);
-  EXPECT_EQ(st.state, SessionState::Failed);
-  EXPECT_FALSE(st.load_ok);
-  EXPECT_FALSE(st.error.empty());
-  EXPECT_TRUE(server.drain(id).empty());
-  EXPECT_TRUE(server.close(id));  // teardown of a failed session is clean
-  // The server keeps serving.
+  std::string error;
+  EXPECT_EQ(server.open(spec, &error), kInvalidSession);
+  EXPECT_EQ(error,
+            "network does not fit on the machine: 224 neurons need 224 cores "
+            "at 1 neurons_per_core, of 0 application cores");
+  EXPECT_EQ(server.stats().rejected, 1u);
+  EXPECT_EQ(server.stats().opened, 0u);
   const SessionId next = server.open(SessionSpec{});
   ASSERT_NE(next, kInvalidSession);
   EXPECT_TRUE(server.run(next, kMillisecond));

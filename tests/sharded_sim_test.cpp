@@ -251,6 +251,40 @@ TEST(ShardedEquivalence, ThreadCountDoesNotAffectResults) {
   EXPECT_EQ(one, many);
 }
 
+// The balance counts a shard-balance change claims on: the events of each
+// window's busiest worker, summed, and each shard's executed events.  They
+// count the partition, not the host, so a rerun repeats them exactly.
+TEST(ShardedEquivalence, BalanceCountsRepeatExactly) {
+  const Case& c = case_named("scatter_poisson");
+  std::uint64_t first_busiest = 0;
+  std::vector<std::uint64_t> first_shards;
+  for (int run = 0; run < 2; ++run) {
+    System sys(make_config(c, 5u, sharded_engine(4, /*threads=*/2)));
+    c.scenario(sys);
+    const auto* engine =
+        dynamic_cast<const sim::ShardedSimulator*>(&sys.engine());
+    ASSERT_NE(engine, nullptr);
+    ASSERT_GT(engine->windows_opened(), 0u);
+    std::vector<std::uint64_t> shards;
+    std::uint64_t sum = 0;
+    for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+      shards.push_back(engine->shard_executed(s));
+      sum += shards.back();
+    }
+    EXPECT_EQ(sum, engine->executed());
+    const std::uint64_t busiest = engine->busiest_worker_events();
+    EXPECT_GT(busiest, 0u);
+    EXPECT_LE(busiest, engine->executed());
+    if (run == 0) {
+      first_busiest = busiest;
+      first_shards = shards;
+    } else {
+      EXPECT_EQ(busiest, first_busiest);
+      EXPECT_EQ(shards, first_shards);
+    }
+  }
+}
+
 // A pending far-future root-actor event (the signature of an abandoned
 // boot's probe timer) must not force the sequential merge for a whole
 // run_until span: windows are bounded below the root event's `when`, so the

@@ -54,6 +54,13 @@ repo-wide discipline whose rationale lives where the discipline does:
                       blocks or mallocs perturbs the thing it observes.
                       The obs headers must each carry at least one marker,
                       or the rule has silently stopped running.
+  isa-confined        Target-specific code (target attributes,
+                      target_clones, *intrin.h headers) and the CPU query
+                      (__builtin_cpu_supports/_init) live only in
+                      src/common/rng_stream.cpp: one module decides what
+                      the CPU runs, and everything else stays baseline
+                      code, where no target option can contract a double
+                      into a fused multiply-add.
 
 Suppression: a `lint:allow(<rule>)` comment disables that rule from its own
 line through the next ALLOW_WINDOW lines — close enough to function scope
@@ -131,6 +138,15 @@ OBS_HOT_FORBIDDEN = re.compile(
 # least one obs:hot marker or the rule is scanning nothing.
 OBS_HOT_HOMES = ("src/obs/registry.hpp", "src/obs/trace.hpp",
                  "src/common/trace_ring.hpp")
+# The one module allowed to hold target-specific code and ask the CPU
+# what it runs.
+ISA_HOME = "src/common/rng_stream.cpp"
+ISA_SPECIFIC = re.compile(
+    r"__attribute__\s*\(\(\s*(?:__)?target(?:_clones)?(?:__)?\b|"
+    r"\btarget_clones\b|\bgnu::target\b|"
+    r"#\s*include\s*<\w*intrin\.h>|"
+    r"\b__builtin_cpu_(?:supports|init|is)\b"
+)
 ALLOW = re.compile(r"lint:allow\(([a-z-]+)\)")
 COMMENT_TEXT = re.compile(r"//\s*(\S.*)$")
 
@@ -420,6 +436,16 @@ def scan_file(rel_path, raw_text):
             report("obs-hot-path", 1,
                    "no obs:hot marker found — the hot-path rule is "
                    "scanning nothing in this file")
+
+    # isa-confined: target-specific code in one module only.
+    if in_src_scope and rel_path != ISA_HOME:
+        for lineno, line in enumerate(code_lines, start=1):
+            m = ISA_SPECIFIC.search(line)
+            if m:
+                report(
+                    "isa-confined", lineno,
+                    f"{m.group(0).strip()} outside {ISA_HOME}; the CPU-"
+                    "specific kernels and the CPU query live there alone")
 
     # tsa-justify: the escape hatch needs an adjacent reason.
     if rel_path != WRAPPER_HEADER:
