@@ -35,7 +35,9 @@ Row measure(int populations, bool compress, bool minimize) {
   neural::Network net;
   std::vector<neural::PopulationId> pops;
   for (int i = 0; i < populations; ++i) {
-    pops.push_back(net.add_lif("p" + std::to_string(i), 256));
+    std::string name = "p";
+    name += std::to_string(i);
+    pops.push_back(net.add_lif(name, 256));
   }
   // A ring of projections plus some chords: every population both sends
   // and receives, paths cross the machine.

@@ -42,16 +42,10 @@ class DmaController {
     start(bytes, cookie, /*write=*/true);
   }
 
-  std::uint64_t outstanding() const { return outstanding_; }
-  std::uint64_t completed() const { return completed_; }
-
  private:
   void start(std::uint32_t bytes, std::uint64_t cookie, bool write) {
-    ++outstanding_;
     const DmaDone done{bytes, cookie, write, sim_.now()};
     system_noc_.transfer(bytes, [this, done] {
-      --outstanding_;
-      ++completed_;
       if (completion_) completion_(done);
     });
   }
@@ -59,8 +53,6 @@ class DmaController {
   sim::Simulator& sim_;
   noc::SystemNoc& system_noc_;
   Completion completion_;
-  std::uint64_t outstanding_ = 0;
-  std::uint64_t completed_ = 0;
 };
 
 }  // namespace spinn::chip

@@ -7,14 +7,21 @@
 //  * any thread may call read()/size() at any time, including mid-push.
 //
 // Every slot carries its own sequence word (even = stable, odd = being
-// written) and every payload word is a relaxed atomic, so a concurrent
-// reader never performs a data race in the C++ memory model (TSan-clean by
-// construction, not by luck).  A reader that catches a slot mid-overwrite
-// simply discards it — bounded flight-recorder semantics: old events are
-// overwritten, never blocked on.
+// written) and every payload word is an atomic, so a concurrent reader never
+// performs a data race in the C++ memory model (TSan-clean by construction,
+// not by luck).  A reader that catches a slot mid-overwrite simply discards
+// it — bounded flight-recorder semantics: old events are overwritten, never
+// blocked on.
 //
-// push() is allocation-free and lock-free (a handful of relaxed stores plus
-// two release stores); all allocation happens in the constructor.
+// Ordering: the producer stores the odd sequence, then each payload word
+// with release, so a reader that acquires a new payload word must then see
+// at least the odd sequence on its second check and discard the record.  A
+// relaxed payload store could become visible before the odd sequence on a
+// weakly ordered CPU, pairing a new word with the old even sequence; x86
+// keeps stores in order either way, and release costs nothing extra there.
+//
+// push() is allocation-free and lock-free (release stores only); all
+// allocation happens in the constructor.
 #pragma once
 
 #include <array>
@@ -34,14 +41,14 @@ class TraceRing {
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
   /// Producer only.  Overwrites the oldest slot once full.
-  // obs:hot — trace-record path: no locks, no allocation, relaxed atomics.
+  // obs:hot — trace-record path: no locks, no allocation.
   void push(const std::uint64_t (&words)[Words]) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     Slot& s = slots_[h & mask_];
     const std::uint64_t seq = s.seq.load(std::memory_order_relaxed);
     s.seq.store(seq + 1, std::memory_order_release);  // odd: in flight
     for (std::size_t w = 0; w < Words; ++w) {
-      s.words[w].store(words[w], std::memory_order_relaxed);
+      s.words[w].store(words[w], std::memory_order_release);
     }
     s.seq.store(seq + 2, std::memory_order_release);  // even: stable
     head_.store(h + 1, std::memory_order_release);
@@ -66,9 +73,8 @@ class TraceRing {
       if ((seq0 & 1) != 0) continue;  // mid-write
       std::array<std::uint64_t, Words> rec;
       for (std::size_t w = 0; w < Words; ++w) {
-        rec[w] = s.words[w].load(std::memory_order_relaxed);
+        rec[w] = s.words[w].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) != seq0) continue;  // torn
       out.push_back(rec);
     }

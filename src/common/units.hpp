@@ -22,15 +22,6 @@ inline constexpr TimeNs kSecond = 1'000'000'000;
 /// differential equations to be evaluated").
 inline constexpr TimeNs kBiologicalTick = kMillisecond;
 
-/// Energy in picojoules.  Wire transitions are O(pJ); core-seconds are O(mJ).
-using EnergyPj = double;
-
-inline constexpr EnergyPj kPicojoule = 1.0;
-inline constexpr EnergyPj kNanojoule = 1e3;
-inline constexpr EnergyPj kMicrojoule = 1e6;
-inline constexpr EnergyPj kMillijoule = 1e9;
-inline constexpr EnergyPj kJoule = 1e12;
-
 namespace machine {
 
 /// ARM968 application core clock (the real chip runs 180-200 MHz).

@@ -70,20 +70,4 @@ class LatencyProbe final : public chip::CoreProgram {
   std::uint64_t received_ = 0;
 };
 
-/// A sink that simply counts deliveries (for loss accounting).
-class CountingSink final : public chip::CoreProgram {
- public:
-  std::uint64_t on_packet(chip::CoreApi& api,
-                          const router::Packet& p) override {
-    (void)api;
-    (void)p;
-    ++received_;
-    return 25;
-  }
-  std::uint64_t received() const { return received_; }
-
- private:
-  std::uint64_t received_ = 0;
-};
-
 }  // namespace spinn::core

@@ -38,7 +38,8 @@ struct GlitchLinkConfig {
   double glitch_rate_hz = 0.0;
   /// Enable-gate exposure window per capture for the transition-sensing
   /// circuit (seconds).  ~2 ps for a hardened 130 nm edge detector; this is
-  /// the one calibrated parameter of the Fig. 6 model (see EXPERIMENTS.md).
+  /// the one calibrated parameter of the Fig. 6 model (experiment E1,
+  /// bench/bench_e01_phase_converter.cpp).
   double metastable_window_sec = 2e-12;
   /// A link that makes no progress for this long while work is pending is
   /// declared deadlocked by the watchdog.

@@ -116,18 +116,13 @@ LoadReport Loader::load(const neural::Network& net, mesh::Machine& machine,
   const PlacementResult& placement = report.placement;
 
   // 2. Route and install tables.
-  RoutingResult routing =
+  const RoutingResult routing =
       generate_routing(net, placement, machine.topology(), cfg_);
   report.routing = routing.stats;
-  for (auto& [coord, entries] : routing.tables) {
-    router::MulticastTable& table = machine.chip_at(coord).router().mc_table();
-    for (const router::McEntry& e : entries) {
-      if (!table.add(e)) {
-        report.ok = false;
-        report.error = "multicast table overflow on a chip";
-        return report;
-      }
-    }
+  if (!install_tables(routing.tables, machine).ok) {
+    report.ok = false;
+    report.error = "multicast table overflow on a chip";
+    return report;
   }
 
   // 3. Generate the synapses, staged per target slice (every slice has a

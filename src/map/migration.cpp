@@ -118,17 +118,12 @@ MigrationReport Migrator::migrate(mesh::Machine& machine, CoreId from,
     const ChipCoord c = topo.coord_of(i);
     machine.chip_at(c).router().mc_table().clear();
   }
-  for (const auto& [coord, entries] : routing.tables) {
-    router::MulticastTable& table =
-        machine.chip_at(coord).router().mc_table();
-    for (const router::McEntry& e : entries) {
-      if (!table.add(e)) {
-        report.error = "multicast table overflow during migration";
-        return report;
-      }
-      ++report.entries_written;
-    }
-    ++report.routers_rewritten;
+  const TableInstall installed = install_tables(routing.tables, machine);
+  report.routers_rewritten = installed.routers;
+  report.entries_written = installed.entries;
+  if (!installed.ok) {
+    report.error = "multicast table overflow during migration";
+    return report;
   }
 
   // Reconfiguration estimate: each entry is a p2p write from the monitor

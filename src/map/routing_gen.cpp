@@ -97,6 +97,23 @@ RoutingResult generate_routing(const neural::Network& net,
   return result;
 }
 
+TableInstall install_tables(const ChipTables& tables,
+                            mesh::Machine& machine) {
+  TableInstall out;
+  for (const auto& [coord, entries] : tables) {
+    router::MulticastTable& table = machine.chip_at(coord).router().mc_table();
+    for (const router::McEntry& e : entries) {
+      if (!table.add(e)) {
+        out.ok = false;
+        return out;
+      }
+      ++out.entries;
+    }
+    ++out.routers;
+  }
+  return out;
+}
+
 std::vector<router::McEntry> minimize_entries(
     std::vector<router::McEntry> entries) {
   // Greedy sibling merging: two entries with identical mask and route whose

@@ -53,6 +53,17 @@ RoutingResult generate_routing(const neural::Network& net,
                                const mesh::Topology& topo,
                                const MapperConfig& cfg);
 
+/// What install_tables() wrote.
+struct TableInstall {
+  bool ok = true;             // false: a full table refused an entry
+  std::size_t routers = 0;    // chips whose entries all went in
+  std::uint64_t entries = 0;  // entries added
+};
+
+/// Add each chip's entries to that chip's multicast table, in order.  Stops
+/// at the first entry a full table refuses; the entries before it stay.
+TableInstall install_tables(const ChipTables& tables, mesh::Machine& machine);
+
 /// Key/mask merging: entries with identical routes whose keys differ in a
 /// single maskable bit are folded together, shrinking CAM usage.  Returns
 /// the minimised entries (order preserved where possible).

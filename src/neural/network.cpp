@@ -24,18 +24,6 @@ PopulationId Network::add_lif(const std::string& name, std::uint32_t size,
   return add_population(std::move(p));
 }
 
-PopulationId Network::add_izhikevich(const std::string& name,
-                                     std::uint32_t size,
-                                     const IzhParams& params, bool record) {
-  Population p;
-  p.name = name;
-  p.size = size;
-  p.model = NeuronModel::Izhikevich;
-  p.izh = params;
-  p.record = record;
-  return add_population(std::move(p));
-}
-
 PopulationId Network::add_poisson(const std::string& name, std::uint32_t size,
                                   double rate_hz) {
   Population p;
@@ -89,14 +77,6 @@ std::uint64_t Network::total_neurons() const {
 
 bool default_record(NeuronModel model) {
   return model != NeuronModel::PoissonSource;
-}
-
-int population_index(const NetworkDescription& desc,
-                     const std::string& name) {
-  for (std::size_t i = 0; i < desc.populations.size(); ++i) {
-    if (desc.populations[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
 }
 
 PopulationDesc make_population(std::string name, NeuronModel model,
@@ -188,8 +168,8 @@ std::uint64_t estimated_synapses(const NetworkDescription& desc) {
   NameMap names;
   names.reserve(desc.populations.size());
   for (std::size_t i = 0; i < desc.populations.size(); ++i) {
-    // emplace keeps the first index on a duplicate name, matching
-    // population_index's first-match semantics on an invalid description.
+    // emplace keeps the first index on a duplicate name (an invalid
+    // description), as resolve_names does.
     names.emplace(desc.populations[i].name,
                   static_cast<PopulationId>(i));
   }

@@ -99,9 +99,6 @@ class Network {
   PopulationId add_lif(const std::string& name, std::uint32_t size,
                        const LifParams& params = LifParams{},
                        bool record = true);
-  PopulationId add_izhikevich(const std::string& name, std::uint32_t size,
-                              const IzhParams& params = IzhParams{},
-                              bool record = true);
   PopulationId add_poisson(const std::string& name, std::uint32_t size,
                            double rate_hz);
   PopulationId add_spike_source(
@@ -198,15 +195,9 @@ inline constexpr std::size_t kMaxScheduleEntries = 1u << 20;
 inline constexpr std::uint64_t kMaxDescribedSynapses = 1u << 24;
 inline constexpr std::uint32_t kMaxStdpWindowTicks = 100'000;
 
-/// Index of the population named `name`, or -1.  Names are unique in a
-/// valid description, so the first match is the match.  One linear scan —
-/// fine for a single lookup; loops should resolve_names() once instead.
-int population_index(const NetworkDescription& desc, const std::string& name);
-
 /// Resolved name → population-index map, built once per description and
 /// threaded through validation, admission costing and build() so none of
-/// them redoes the linear name scans.  Duplicate names keep the first
-/// index (population_index's historic "first match" semantics).
+/// them redoes the linear name scans.  Duplicate names keep the first index.
 using NameMap = std::unordered_map<std::string, PopulationId>;
 
 /// Build the name map: checks the population-count cap, each name's

@@ -9,7 +9,7 @@ SystemNoc::SystemNoc(sim::Simulator& sim, const SystemNocConfig& config)
     : sim_(sim), cfg_(config) {}
 
 void SystemNoc::transfer(std::uint32_t bytes, Completion done) {
-  queue_.push_back(Request{bytes, std::move(done), sim_.now()});
+  queue_.push_back(Request{bytes, std::move(done)});
   if (!busy_) start_next();
 }
 
@@ -17,7 +17,6 @@ void SystemNoc::start_next() {
   if (queue_.empty()) return;
   busy_ = true;
   Request req = queue_.pop_front();
-  queue_wait_.add(static_cast<double>(sim_.now() - req.enqueued_at));
 
   const double burst_sec =
       static_cast<double>(req.bytes) / cfg_.bandwidth_bytes_per_sec;

@@ -14,7 +14,6 @@
 #include "common/ring_fifo.hpp"
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 
 namespace spinn::noc {
 
@@ -43,13 +42,11 @@ class SystemNoc {
   std::uint64_t transfers() const { return transfers_; }
   /// Total time the SDRAM port spent busy (for utilisation/energy).
   TimeNs busy_time() const { return busy_time_; }
-  const sim::Summary& queue_wait() const { return queue_wait_; }
 
  private:
   struct Request {
     std::uint32_t bytes;
     Completion done;
-    TimeNs enqueued_at;
   };
 
   void start_next();
@@ -66,7 +63,6 @@ class SystemNoc {
   std::uint64_t bytes_transferred_ = 0;
   std::uint64_t transfers_ = 0;
   TimeNs busy_time_ = 0;
-  sim::Summary queue_wait_;
 };
 
 }  // namespace spinn::noc

@@ -4,17 +4,6 @@
 
 namespace spinn::obs {
 
-namespace detail {
-
-std::size_t this_thread_shard() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % Counter::kShards;
-  return shard;
-}
-
-}  // namespace detail
-
 Histogram::Histogram(std::int64_t lo, std::int64_t hi, std::size_t bins)
     : lo_(lo),
       hi_(hi > lo ? hi : lo + 1),

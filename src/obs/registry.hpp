@@ -4,10 +4,8 @@
 // place (docs/OBSERVABILITY.md).  The registry holds two metric kinds, both
 // built for hot-path increments and scrape-time aggregation:
 //
-//  * Counter   — monotone u64, sharded across cache-line-padded atomic
-//                slots so concurrent reactors/workers never bounce a line;
-//                inc() is one release fetch_add, value() sums acquire loads
-//                at scrape.
+//  * Counter   — monotone u64 in one atomic: inc() is one release
+//                fetch_add, value() one acquire load at scrape.
 //  * Histogram — fixed-bin atomic counts over [lo, hi) with clamped end
 //                bins, exposing count/p50/p95/p99 at scrape time by bin
 //                interpolation.  It is the one binned histogram: the
@@ -37,14 +35,7 @@
 
 namespace spinn::obs {
 
-namespace detail {
-/// The calling thread's counter shard.  Assigned round-robin on first use
-/// (one relaxed fetch_add per thread, ever): no lock, no allocation.
-std::size_t this_thread_shard() noexcept;
-}  // namespace detail
-
-/// Monotone counter, sharded to keep concurrent increments off each
-/// other's cache lines.
+/// Monotone counter.
 ///
 /// Ordering: inc() publishes with release and value() reads with acquire.
 /// So when one thread increments `a` and then `b`, a reader that reads
@@ -54,29 +45,17 @@ std::size_t this_thread_shard() noexcept;
 /// relaxed.
 class Counter {
  public:
-  static constexpr std::size_t kShards = 16;
-
   // obs:hot — metric-increment path: no locks, no allocation.
   void inc(std::uint64_t by = 1) noexcept {
-    shards_[detail::this_thread_shard()].v.fetch_add(
-        by, std::memory_order_release);
+    v_.fetch_add(by, std::memory_order_release);
   }
 
-  /// Scrape-time sum over the shards.  Each shard is individually
-  /// monotone, so successive scrapes never go backwards.
   std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const Slot& s : shards_) {
-      total += s.v.load(std::memory_order_acquire);
-    }
-    return total;
+    return v_.load(std::memory_order_acquire);
   }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> v{0};
-  };
-  Slot shards_[kShards];
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Fixed-bin latency histogram over [lo_ns, hi_ns); out-of-range samples

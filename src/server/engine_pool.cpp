@@ -25,7 +25,7 @@ void EnginePool::give_back(const sim::EngineConfig& cfg,
                            std::unique_ptr<sim::ISimulationEngine> engine) {
   {
     MutexLock lk(&mu_);
-    if (idle_.size() >= cfg_.max_idle) return;  // over capacity: destroyed
+    if (idle_.size() >= kMaxIdle) return;  // over capacity: destroyed
   }
   // Worth pooling: drop the dead session's queued closures and hooks now —
   // they may capture pointers into a machine being destroyed, and an idle
@@ -33,7 +33,7 @@ void EnginePool::give_back(const sim::EngineConfig& cfg,
   // releases them too, which is why the over-capacity path skips this.)
   engine->reset(0);
   MutexLock lk(&mu_);
-  // Concurrent returns may briefly overshoot max_idle by the number of
+  // Concurrent returns may briefly overshoot kMaxIdle by the number of
   // racing give_backs; acquire() drains it back down.
   idle_.push_back(Idle{cfg, std::move(engine)});
 }

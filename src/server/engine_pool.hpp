@@ -19,17 +19,13 @@
 
 namespace spinn::server {
 
-struct EnginePoolConfig {
-  /// Idle engines kept per pool; beyond this, returned engines are simply
-  /// destroyed (bounding the resident worker threads and queue memory).
-  std::size_t max_idle = 8;
-};
-
 class EnginePool {
  public:
-  explicit EnginePool(const EnginePoolConfig& cfg = EnginePoolConfig{})
-      : cfg_(cfg) {}
+  /// Idle engines kept; beyond this, returned engines are simply destroyed
+  /// (bounding the resident worker threads and queue memory).
+  static constexpr std::size_t kMaxIdle = 8;
 
+  EnginePool() = default;
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
 
@@ -106,7 +102,6 @@ class EnginePool {
     std::unique_ptr<sim::ISimulationEngine> engine;
   };
 
-  EnginePoolConfig cfg_;
   mutable Mutex mu_;
   std::vector<Idle> idle_ SPINN_GUARDED_BY(mu_);
   std::uint64_t created_ SPINN_GUARDED_BY(mu_) = 0;

@@ -3,7 +3,7 @@
 namespace spinn::server {
 
 SessionServer::SessionServer(const ServerConfig& cfg)
-    : cfg_(cfg), pool_(cfg.pool), scheduler_(cfg.workers, cfg.slice) {}
+    : cfg_(cfg), scheduler_(cfg.workers, cfg.slice) {}
 
 SessionServer::~SessionServer() {
   // Stop workers first so no slice is in flight, then tear sessions down

@@ -52,7 +52,6 @@ struct ServerConfig {
   /// Biological time serviced per scheduling quantum.  Smaller = fairer
   /// interleaving and fresher drains; larger = less locking overhead.
   TimeNs slice = kMillisecond;
-  EnginePoolConfig pool;
 };
 
 struct ServerStats {

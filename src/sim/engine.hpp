@@ -13,9 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "sim/simulator.hpp"
 
@@ -81,17 +79,11 @@ class ISimulationEngine {
   /// machine wiring calls this with the minimum inter-shard link latency.
   virtual void constrain_lookahead(TimeNs lookahead) { (void)lookahead; }
 
-  /// `hook(horizon)` runs single-threaded after every committed window and
-  /// at the end of each run_until()/run(), with all events below `horizon`
-  /// executed.  Used to merge per-shard observation buffers (spike records)
-  /// back into deterministic global order.
-  virtual void add_window_hook(std::function<void(TimeNs)> hook) = 0;
-
   /// Return the engine to its freshly-constructed state under a new seed:
   /// all queues reset (clocks to 0, counters zeroed), RNG streams reseeded,
-  /// actor map and window hooks dropped, lookahead unconstrained.  Expensive
-  /// resources (the sharded engine's worker-thread pool) survive, which is
-  /// the point: a reset engine drives a new scenario bit-identically to a
+  /// actor map dropped, lookahead unconstrained.  Expensive resources (the
+  /// sharded engine's worker-thread pool) survive, which is the point: a
+  /// reset engine drives a new scenario bit-identically to a
   /// newly-constructed one without paying construction again (the server's
   /// EnginePool relies on this).  Must not be called while a run is in
   /// flight.
@@ -114,33 +106,16 @@ class SerialEngine final : public ISimulationEngine {
   TimeNs now() const override { return sim_.now(); }
   bool step() override { return sim_.queue().step(); }
   std::uint64_t run_until(TimeNs until) override {
-    const std::uint64_t n = sim_.run_until(until);
-    fire_hooks(until);
-    return n;
+    return sim_.run_until(until);
   }
-  std::uint64_t run() override {
-    const std::uint64_t n = sim_.run();
-    fire_hooks(sim_.now());
-    return n;
-  }
+  std::uint64_t run() override { return sim_.run(); }
   bool empty() const override { return sim_.queue().empty(); }
   std::size_t pending() const override { return sim_.queue().pending(); }
   std::uint64_t executed() const override { return sim_.queue().executed(); }
-  void add_window_hook(std::function<void(TimeNs)> hook) override {
-    hooks_.push_back(std::move(hook));
-  }
-  void reset(std::uint64_t seed) override {
-    sim_.reset(seed);
-    hooks_.clear();
-  }
+  void reset(std::uint64_t seed) override { sim_.reset(seed); }
 
  private:
-  void fire_hooks(TimeNs horizon) {
-    for (auto& h : hooks_) h(horizon);
-  }
-
   Simulator sim_;
-  std::vector<std::function<void(TimeNs)>> hooks_;
 };
 
 /// Build an engine from config; `seed` seeds the root context's RNG (and,

@@ -245,8 +245,6 @@ class EventQueue {
   bool executing() const { return executing_; }
   /// Key of the event currently being executed (valid while executing()).
   const EventKey& current_key() const { return current_key_; }
-  /// Actor the current event executes under (kRootActor when idle).
-  ActorId current_actor() const { return current_exec_actor_; }
 
   /// Advance the clock without executing anything (never moves backwards).
   /// The sharded engine's sequential merge uses this to keep every shard's

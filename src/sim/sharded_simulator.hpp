@@ -55,12 +55,18 @@ class ShardedSimulator final : public ISimulationEngine {
   std::size_t pending() const override;
   std::uint64_t executed() const override;
   void constrain_lookahead(TimeNs lookahead) override;
-  void add_window_hook(std::function<void(TimeNs)> hook) override {
-    hooks_.push_back(std::move(hook));
-  }
+  /// Also drops the window hooks.
   void reset(std::uint64_t seed) override;
 
   // Sharded-specific --------------------------------------------------------
+  /// `hook(horizon)` runs single-threaded after every committed window and
+  /// at the end of each run_until()/run(), with all events below `horizon`
+  /// executed.  Used to merge per-shard observation buffers (spike records)
+  /// back into deterministic global order.
+  void add_window_hook(std::function<void(TimeNs)> hook) {
+    hooks_.push_back(std::move(hook));
+  }
+
   /// Route a cross-actor handoff from `src`'s shard (called by
   /// Simulator::handoff).  Same shard: local insert.  Different shard:
   /// direct insert when single-threaded, mailbox during parallel windows.

@@ -15,17 +15,4 @@ void Simulator::handoff(TimeNs delay, ActorId exec_actor, EventAction&& action,
                           priority);
 }
 
-void PeriodicProcess::start(TimeNs phase) {
-  started_ = true;
-  cancelled_ = false;
-  sim_.after(phase, [this] { tick(); }, priority_);
-}
-
-void PeriodicProcess::tick() {
-  if (cancelled_) return;
-  body_();
-  if (cancelled_) return;  // body may cancel
-  sim_.after(period_, [this] { tick(); }, priority_);
-}
-
 }  // namespace spinn::sim

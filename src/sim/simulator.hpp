@@ -88,31 +88,4 @@ class Simulator {
   std::uint32_t shard_ = 0;
 };
 
-/// A repeating process: reschedules itself every `period` until cancelled.
-/// Used for timer ticks, traffic generators and watchdog scans.
-class PeriodicProcess {
- public:
-  PeriodicProcess(Simulator& sim, TimeNs period, EventAction body,
-                  EventPriority priority = EventPriority::Default)
-      : sim_(sim), period_(period), body_(std::move(body)),
-        priority_(priority) {}
-
-  /// Start ticking; first invocation at now() + phase.
-  void start(TimeNs phase = 0);
-  void cancel() { cancelled_ = true; }
-  bool running() const { return started_ && !cancelled_; }
-  TimeNs period() const { return period_; }
-  void set_period(TimeNs period) { period_ = period; }
-
- private:
-  void tick();
-
-  Simulator& sim_;
-  TimeNs period_;
-  EventAction body_;
-  EventPriority priority_;
-  bool started_ = false;
-  bool cancelled_ = false;
-};
-
 }  // namespace spinn::sim

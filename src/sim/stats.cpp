@@ -1,5 +1,7 @@
 #include "sim/stats.hpp"
 
+#include <algorithm>
+
 namespace spinn::sim {
 
 double percentile(std::vector<double> samples, double p) {

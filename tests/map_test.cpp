@@ -313,6 +313,45 @@ TEST(Minimize, CascadesMerges) {
   EXPECT_EQ(merged[0].mask, 0xE000u);
 }
 
+TEST(InstallTables, WritesEachChipsEntriesInOrder) {
+  sim::Simulator sim(1);
+  mesh::Machine m(sim, machine_config());
+  const router::Route r = router::Route::to_core(1);
+  ChipTables tables;
+  tables[{0, 0}] = {{0x0000, 0xF800, r}, {0x0800, 0xF800, r}};
+  tables[{1, 2}] = {{0x1000, 0xF800, r}};
+  const TableInstall installed = install_tables(tables, m);
+  EXPECT_TRUE(installed.ok);
+  EXPECT_EQ(installed.routers, 2u);
+  EXPECT_EQ(installed.entries, 3u);
+  const auto& first = m.chip_at({0, 0}).router().mc_table().entries();
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0].key, 0x0000u);
+  EXPECT_EQ(first[1].key, 0x0800u);
+  EXPECT_EQ(m.chip_at({1, 2}).router().mc_table().size(), 1u);
+  EXPECT_EQ(m.chip_at({1, 1}).router().mc_table().size(), 0u);
+}
+
+TEST(InstallTables, StopsAtTheEntryAFullTableRefuses) {
+  sim::Simulator sim(1);
+  mesh::Machine m(sim, machine_config());
+  constexpr std::size_t kCapacity = router::MulticastTable::kCapacity;
+  ChipTables tables;
+  std::vector<router::McEntry>& entries = tables[{2, 1}];
+  for (std::size_t i = 0; i <= kCapacity; ++i) {
+    entries.push_back({static_cast<RoutingKey>(i << kNeuronKeyBits),
+                       kSliceKeyMask, router::Route::to_core(1)});
+  }
+  const TableInstall installed = install_tables(tables, m);
+  EXPECT_FALSE(installed.ok);
+  EXPECT_EQ(installed.routers, 0u);
+  EXPECT_EQ(installed.entries, kCapacity);
+  const router::MulticastTable& table = m.chip_at({2, 1}).router().mc_table();
+  EXPECT_TRUE(table.full());
+  EXPECT_EQ(table.entries().back().key,
+            static_cast<RoutingKey>((kCapacity - 1) << kNeuronKeyBits));
+}
+
 // ---- loader ---------------------------------------------------------------------
 
 TEST(Loader, BuildsRowsAndInstallsPrograms) {

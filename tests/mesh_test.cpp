@@ -26,11 +26,11 @@ void add_entry(Machine& m, ChipCoord c, RoutingKey key, router::Route route) {
 }
 
 struct Sink {
-  core::CountingSink* program = nullptr;
+  core::LatencyProbe* program = nullptr;
 };
 
 Sink attach_sink(Machine& m, ChipCoord c, CoreIndex core) {
-  auto prog = std::make_unique<core::CountingSink>();
+  auto prog = std::make_unique<core::LatencyProbe>(nullptr);
   Sink s{prog.get()};
   m.chip_at(c).core(core).load_program(std::move(prog));
   m.chip_at(c).core(core).start();

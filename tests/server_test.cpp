@@ -709,13 +709,12 @@ TEST(CostAdmission, NotifyIdleFiresOnceWorkDrains) {
 
 // ---- engine-pool stress (concurrent churn) ---------------------------------
 
-// Raw pool churn: many threads acquiring/releasing mixed engine shapes
-// concurrently.  The pool's books must balance and never exceed max_idle.
+// Raw pool churn: more threads than the pool keeps idle engines, acquiring
+// and releasing mixed engine shapes concurrently.  The pool's books must
+// balance and never exceed kMaxIdle.
 TEST(EnginePoolStress, ConcurrentAcquireReleaseChurn) {
-  EnginePoolConfig pool_cfg;
-  pool_cfg.max_idle = 4;
-  EnginePool pool(pool_cfg);
-  constexpr int kThreads = 8;
+  EnginePool pool;
+  constexpr int kThreads = static_cast<int>(EnginePool::kMaxIdle) + 4;
   constexpr int kIterations = 40;
 
   std::vector<std::thread> threads;
@@ -742,7 +741,7 @@ TEST(EnginePoolStress, ConcurrentAcquireReleaseChurn) {
   const EnginePool::Stats st = pool.stats();
   EXPECT_EQ(st.created + st.reused,
             static_cast<std::uint64_t>(kThreads * kIterations));
-  EXPECT_LE(st.idle, pool_cfg.max_idle);
+  EXPECT_LE(st.idle, EnginePool::kMaxIdle);
   EXPECT_GT(st.reused, 0u);
 }
 
@@ -758,7 +757,6 @@ TEST(EnginePoolStress, ChurnedEnginesStayBitIdentical) {
   ServerConfig cfg;
   cfg.workers = 4;
   cfg.max_sessions = 16;
-  cfg.pool.max_idle = 4;
   SessionServer server(cfg);
 
   std::vector<std::vector<Events>> streams(

@@ -1,4 +1,4 @@
-// Unit tests for the discrete-event kernel and the statistics containers.
+// Unit tests for the discrete-event kernel.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 
 namespace spinn::sim {
 namespace {
@@ -206,56 +205,6 @@ TEST(Simulator, RngIsSeeded) {
   EXPECT_EQ(a.rng().next(), b.rng().next());
   Simulator d(5);
   EXPECT_NE(d.rng().next(), c.rng().next());
-}
-
-TEST(PeriodicProcess, TicksAtPeriod) {
-  Simulator sim(1);
-  int ticks = 0;
-  PeriodicProcess p(sim, 100, [&] { ++ticks; });
-  p.start();
-  sim.run_until(1000);
-  EXPECT_EQ(ticks, 11);  // t = 0, 100, ..., 1000
-}
-
-TEST(PeriodicProcess, CancelStops) {
-  Simulator sim(1);
-  int ticks = 0;
-  PeriodicProcess p(sim, 10, [&] { ++ticks; });
-  p.start();
-  sim.after(35, [&] { p.cancel(); });
-  sim.run_until(1000);
-  EXPECT_EQ(ticks, 4);  // 0, 10, 20, 30
-}
-
-TEST(PeriodicProcess, PhaseOffsetsFirstTick) {
-  Simulator sim(1);
-  std::vector<TimeNs> times;
-  PeriodicProcess p(sim, 100, [&] { times.push_back(sim.now()); });
-  p.start(/*phase=*/42);
-  sim.run_until(400);
-  ASSERT_GE(times.size(), 3u);
-  EXPECT_EQ(times[0], 42);
-  EXPECT_EQ(times[1], 142);
-}
-
-// ---- stats -----------------------------------------------------------------
-
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (const double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-}
-
-TEST(Summary, EmptyIsSafe) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
 /// Determinism property: identical seeds yield identical event interleaving.

@@ -4,8 +4,8 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "common/rng.hpp"
+#include "common/types.hpp"
 #include "mesh/topology.hpp"
 #include "router/router.hpp"
 
