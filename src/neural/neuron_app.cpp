@@ -94,11 +94,11 @@ std::uint64_t NeuronApp::on_packet(chip::CoreApi& api,
                                    const router::Packet& p) {
   // Identify the spiking neuron, map to its connectivity block in SDRAM,
   // schedule the DMA (§5.3 "Incoming packet arrival").
-  const SynapticRow* row = rows_->find(p.key);
-  if (row == nullptr || row->synapses.empty()) {
+  const SynapticRow row = rows_->find(p.key);
+  if (row.synapses.empty()) {
     return 25;  // lookup miss: nothing aimed at this core's neurons
   }
-  api.dma_read(row->bytes(), /*cookie=*/p.key);
+  api.dma_read(row.bytes(), /*cookie=*/p.key);
   return 35;
 }
 
@@ -106,28 +106,29 @@ std::uint64_t NeuronApp::on_dma_done(chip::CoreApi& api,
                                      const chip::DmaDone& d) {
   if (d.was_write) return 15;  // write-back completed: just retire it
   const auto key = static_cast<RoutingKey>(d.cookie);
-  SynapticRow* row = rows_->find_mutable(key);
-  if (row == nullptr) return 20;
-  for (const Synapse& s : row->synapses) {
+  const SynapticRow row = rows_->find(key);
+  if (row.synapses.empty()) return 20;
+  for (const Synapse& s : row.synapses) {
     ring_.add(tick_, s.target, s.delay, s.weight());
   }
   ++rows_processed_;
-  synaptic_events_ += row->synapses.size();
+  synaptic_events_ += row.synapses.size();
   std::uint64_t instr =
-      30 + 12 * static_cast<std::uint64_t>(row->synapses.size());
+      30 + 12 * static_cast<std::uint64_t>(row.synapses.size());
 
-  if (row->plastic && cfg_.stdp.enabled) {
+  if (row.plastic() && cfg_.stdp.enabled) {
     // §5.3: "if the connectivity data is modified, a DMA must be scheduled
     // to write the changes back into SDRAM."
-    instr += apply_stdp(*row);
-    api.dma_write(row->bytes(), d.cookie);
+    instr += apply_stdp(row);
+    api.dma_write(row.bytes(), d.cookie);
     ++plastic_writebacks_;
   }
   return instr;
 }
 
-std::uint64_t NeuronApp::apply_stdp(SynapticRow& row) {
+std::uint64_t NeuronApp::apply_stdp(SynapticRow row) {
   const StdpParams& sp = cfg_.stdp;
+  RowHistory& history = *row.history;
   std::uint64_t updated = 0;
   for (Synapse& s : row.synapses) {
     if (!s.plastic || s.inhibitory) continue;
@@ -137,9 +138,9 @@ std::uint64_t NeuronApp::apply_stdp(SynapticRow& row) {
     if (post < 0) continue;  // target never fired: nothing to pair with
     double w = static_cast<double>(s.weight_raw) / 256.0;
     // Potentiation: a post-spike shortly after the *previous* pre-spike.
-    if (row.has_fired_before &&
-        post > static_cast<std::int32_t>(row.last_pre_tick) &&
-        post - static_cast<std::int32_t>(row.last_pre_tick) <=
+    if (history.has_fired_before &&
+        post > static_cast<std::int32_t>(history.last_pre_tick) &&
+        post - static_cast<std::int32_t>(history.last_pre_tick) <=
             static_cast<std::int32_t>(sp.window_ticks)) {
       w += sp.a_plus;
     }
@@ -153,8 +154,8 @@ std::uint64_t NeuronApp::apply_stdp(SynapticRow& row) {
     if (w > sp.w_max) w = sp.w_max;
     s.weight_raw = Synapse::pack_weight(w);
   }
-  row.last_pre_tick = tick_;
-  row.has_fired_before = true;
+  history.last_pre_tick = tick_;
+  history.has_fired_before = true;
   return 8 + 10 * updated;
 }
 

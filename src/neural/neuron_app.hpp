@@ -69,7 +69,7 @@ class NeuronApp final : public chip::CoreProgram {
                             const std::vector<std::uint32_t>& fired);
   /// Pair-based STDP over a fetched plastic row; returns the instruction
   /// cost of the update loop.
-  std::uint64_t apply_stdp(SynapticRow& row);
+  std::uint64_t apply_stdp(SynapticRow row);
 
   SliceConfig cfg_;
   std::shared_ptr<RowStore> rows_;

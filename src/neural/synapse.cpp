@@ -37,36 +37,36 @@ RowStore::RowStore(std::span<const StagedSynapse> staged) {
     return first_[slice_index(key)] + (key & ~kSliceKeyMask);
   };
 
-  // Count each neuron's synapses, then give every counted neuron a row, in
-  // index order, spanning the next run of the synapse array.
-  row_of_.assign(first_.back(), 0);
-  for (const StagedSynapse& s : staged) ++row_of_[index_of(s.key)];
-  const auto num_rows = static_cast<std::size_t>(std::count_if(
-      row_of_.begin(), row_of_.end(), [](std::uint32_t n) { return n > 0; }));
-  rows_.resize(num_rows);
-  synapses_.resize(staged.size());
-  std::size_t row = 0;
-  std::size_t next = 0;
-  for (std::uint32_t& entry : row_of_) {
-    if (entry == 0) {
-      entry = kNoRow;
-      continue;
+  // Count indexed neuron i's synapses in begin_[i + 2], so that after the
+  // running sum begin_[i + 1] is where its row starts.  The scatter
+  // advances that entry past each synapse it places, leaving it where the
+  // row ends: begin_[i + 1]'s final value.
+  const std::size_t indexed = first_.back();
+  begin_.assign(indexed + 2, 0);
+  has_row_.assign((indexed + 63) / 64, 0);
+  bool any_plastic = false;
+  for (const StagedSynapse& s : staged) {
+    const std::size_t i = index_of(s.key);
+    std::uint32_t& count = begin_[i + 2];
+    if (count == 0) {
+      has_row_[i / 64] |= std::uint64_t{1} << (i % 64);
+      ++num_rows_;
     }
-    // Empty for now: the scatter below grows it to its count.
-    rows_[row].synapses = std::span<Synapse>(synapses_.data() + next, 0);
-    next += entry;
-    entry = static_cast<std::uint32_t>(row++);
+    ++count;
+    any_plastic = any_plastic || s.synapse.plastic;
   }
+  for (std::size_t i = 1; i < begin_.size(); ++i) begin_[i] += begin_[i - 1];
 
   // Scatter in staged order, so each row keeps its synapses' generation
   // order: a stable counting sort.
+  synapses_.resize(staged.size());
+  if (any_plastic) history_.resize(indexed);
   for (const StagedSynapse& s : staged) {
-    SynapticRow& r = rows_[row_of_[index_of(s.key)]];
-    const std::size_t n = r.synapses.size();
-    r.synapses.data()[n] = s.synapse;
-    r.synapses = std::span<Synapse>(r.synapses.data(), n + 1);
-    r.plastic = r.plastic || s.synapse.plastic;
+    const std::size_t i = index_of(s.key);
+    synapses_[begin_[i + 1]++] = s.synapse;
+    if (s.synapse.plastic) history_[i].plastic = true;
   }
+  begin_.pop_back();
 }
 
 }  // namespace spinn::neural

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -44,18 +43,25 @@ struct Synapse {
 /// supports.
 inline constexpr std::uint8_t kMaxDelayTicks = 15;
 
-/// One synaptic row: a run of its core's synapse array, with the row's
-/// STDP state beside it.
+/// The STDP state of one row: the tick of the previous pre-synaptic spike
+/// that fetched it (pre-event history for the deferred STDP rule), and
+/// whether any of its synapses is plastic, so that the row is written back
+/// after processing (§5.3).
+struct RowHistory {
+  std::uint32_t last_pre_tick = 0;
+  bool has_fired_before = false;
+  bool plastic = false;
+};
+
+/// One synaptic row, as a view into the RowStore that holds it: valid while
+/// the store lives.  A lookup that misses returns a row with no synapses.
 struct SynapticRow {
   /// The row's synapses, in the order the loader generated them.
   std::span<Synapse> synapses;
-  /// The tick of the previous pre-synaptic spike that fetched this row
-  /// (pre-event history for the deferred STDP rule).
-  std::uint32_t last_pre_tick = 0;
-  bool has_fired_before = false;
-  /// Any synapse in the row is plastic => the row is written back after
-  /// processing (§5.3).
-  bool plastic = false;
+  /// The row's STDP state; null in a store that holds no plastic synapse.
+  RowHistory* history = nullptr;
+
+  bool plastic() const { return history != nullptr && history->plastic; }
 
   /// DMA size: one header word plus one 32-bit word per synapse.
   std::uint32_t bytes() const {
@@ -73,12 +79,15 @@ struct StagedSynapse {
 /// All rows resident on one core, found by the source neuron's AER key
 /// through the master population table of §5.3: a sorted table of the
 /// source slices (key >> kNeuronKeyBits) that project to this core is
-/// binary-searched, and the matching entry's range of one flat per-neuron
-/// index gives the row.  Every row is a run in one contiguous synapse
-/// array.  The store is built once, from the core's staged synapses;
-/// looking up any key it was not built with misses.  (Physically the rows
-/// live in the node's shared SDRAM; the table keeps the functional content
-/// while chip::Sdram accounts the space.)
+/// binary-searched, and the matching entry's range of the store's indexed
+/// neurons holds the source neuron.  Per indexed neuron the store keeps one
+/// bit, set when the neuron has a row here, and one offset: its row is
+/// synapses_[begin_[at], begin_[at + 1]), a run of one contiguous synapse
+/// array.  Most spikes that reach a core find no row there, and a miss
+/// reads only its bit.  The store is built once, from the core's staged
+/// synapses; looking up any key it was not built with misses.  (Physically
+/// the rows live in the node's shared SDRAM; the store keeps the functional
+/// content while chip::Sdram accounts the space.)
 class RowStore {
  public:
   /// A store with no rows.
@@ -88,22 +97,23 @@ class RowStore {
   /// order they were generated.  Each row keeps its synapses in that order.
   explicit RowStore(std::span<const StagedSynapse> staged);
 
-  // Rows view synapses_, so a copy's rows would view the original's.
-  RowStore(const RowStore&) = delete;
-  RowStore& operator=(const RowStore&) = delete;
-
-  const SynapticRow* find(RoutingKey key) const {
-    const std::uint32_t at = lookup(key);
-    return at == kNoRow ? nullptr : &rows_[at];
+  /// The row of the source neuron with AER key `key`, which the caller may
+  /// update (the row is "in DTCM"); a row with no synapses if it has none
+  /// here.
+  SynapticRow find(RoutingKey key) {
+    const RoutingKey slice = key >> kNeuronKeyBits;
+    const auto it = std::lower_bound(slices_.begin(), slices_.end(), slice);
+    if (it == slices_.end() || *it != slice) return {};
+    const auto i = static_cast<std::size_t>(it - slices_.begin());
+    const std::size_t at = first_[i] + (key & ~kSliceKeyMask);
+    if (at >= first_[i + 1]) return {};
+    if (((has_row_[at / 64] >> (at % 64)) & 1) == 0) return {};
+    return {std::span<Synapse>(synapses_.data() + begin_[at],
+                               begin_[at + 1] - begin_[at]),
+            history_.empty() ? nullptr : &history_[at]};
   }
 
-  /// Mutable lookup for plasticity processing (the row is "in DTCM").
-  SynapticRow* find_mutable(RoutingKey key) {
-    const std::uint32_t at = lookup(key);
-    return at == kNoRow ? nullptr : &rows_[at];
-  }
-
-  std::size_t num_rows() const { return rows_.size(); }
+  std::size_t num_rows() const { return num_rows_; }
 
   /// Master population table entries: the source slices with a row here.
   std::size_t num_slices() const { return slices_.size(); }
@@ -111,33 +121,26 @@ class RowStore {
   /// The rows' DMA sizes, summed: a header word per row and a word per
   /// synapse.
   std::uint64_t total_bytes() const {
-    return 4ull * rows_.size() + 4ull * synapses_.size();
+    return 4ull * num_rows_ + 4ull * synapses_.size();
   }
 
  private:
-  static constexpr std::uint32_t kNoRow =
-      std::numeric_limits<std::uint32_t>::max();
-
-  std::uint32_t lookup(RoutingKey key) const {
-    const RoutingKey slice = key >> kNeuronKeyBits;
-    const auto it = std::lower_bound(slices_.begin(), slices_.end(), slice);
-    if (it == slices_.end() || *it != slice) return kNoRow;
-    const auto i = static_cast<std::size_t>(it - slices_.begin());
-    const std::size_t at = first_[i] + (key & ~kSliceKeyMask);
-    return at < first_[i + 1] ? row_of_[at] : kNoRow;
-  }
-
   /// The source slices with rows here, ascending.
   std::vector<RoutingKey> slices_;
-  /// Source slice slices_[i]'s neurons own row_of_[first_[i]] up to
-  /// row_of_[first_[i + 1]]: one entry per neuron up to the highest with a
-  /// row.
+  /// Source slice slices_[i]'s neurons are the indexed neurons first_[i] up
+  /// to first_[i + 1]: one per neuron up to the highest with a row.
   std::vector<std::uint32_t> first_;
-  /// Per source neuron, the index of its row in rows_, or kNoRow.
-  std::vector<std::uint32_t> row_of_;
-  std::vector<SynapticRow> rows_;
+  /// Per indexed neuron, one bit: set when it has a row here.
+  std::vector<std::uint64_t> has_row_;
+  /// Per indexed neuron, where its row starts in synapses_, and one more
+  /// entry: where the last row ends.
+  std::vector<std::uint32_t> begin_;
   /// Every row's synapses, row after row.
   std::vector<Synapse> synapses_;
+  /// Per indexed neuron, its row's STDP state; empty unless a synapse here
+  /// is plastic.
+  std::vector<RowHistory> history_;
+  std::size_t num_rows_ = 0;
 };
 
 }  // namespace spinn::neural

@@ -382,12 +382,11 @@ TEST(Loader, BuildsRowsAndInstallsPrograms) {
   }
   ASSERT_NE(b_app, nullptr);
   EXPECT_EQ(b_app->rows().num_rows(), 20u);
-  const neural::SynapticRow* row = b_app->rows().find(a_key_base + 7);
-  ASSERT_NE(row, nullptr);
-  ASSERT_EQ(row->synapses.size(), 1u);
-  EXPECT_EQ(row->synapses[0].target, 7u);
-  EXPECT_EQ(row->synapses[0].delay, 3u);
-  EXPECT_NEAR(row->synapses[0].weight().to_double(), 2.0, 0.01);
+  const neural::SynapticRow row = b_app->rows().find(a_key_base + 7);
+  ASSERT_EQ(row.synapses.size(), 1u);
+  EXPECT_EQ(row.synapses[0].target, 7u);
+  EXPECT_EQ(row.synapses[0].delay, 3u);
+  EXPECT_NEAR(row.synapses[0].weight().to_double(), 2.0, 0.01);
 }
 
 TEST(Loader, AllToAllSynapseCount) {
@@ -465,13 +464,12 @@ TEST(Loader, DrawsEachSynapseDelayThenWeight) {
 
   Rng replay(cfg.machine.seed ^ 0x10adD00Dull);
   for (std::uint32_t i = 0; i < 4; ++i) {
-    const neural::SynapticRow* row = post_app->rows().find(pre.key_base + i);
-    ASSERT_NE(row, nullptr);
-    ASSERT_EQ(row->synapses.size(), 5u);
+    const neural::SynapticRow row = post_app->rows().find(pre.key_base + i);
+    ASSERT_EQ(row.synapses.size(), 5u);
     for (std::uint32_t j = 0; j < 5; ++j) {
       const double d_ms = delay.sample(replay);
       const double w = weight.sample(replay);
-      const neural::Synapse& syn = row->synapses[j];
+      const neural::Synapse& syn = row.synapses[j];
       EXPECT_EQ(syn.target, j);
       EXPECT_EQ(syn.delay, static_cast<std::uint8_t>(d_ms + 0.5))
           << "i=" << i << " j=" << j;
@@ -548,15 +546,14 @@ TEST(Loader, DrawsEachSynapseDelayThenWeight) {
     for (const auto& [at, synapses] : expected) {
       if (at.first != app->config().key_base) continue;
       ++rows;
-      const neural::SynapticRow* row = app->rows().find(at.second);
-      ASSERT_NE(row, nullptr) << "key=" << at.second;
-      ASSERT_EQ(row->synapses.size(), synapses.size()) << "key=" << at.second;
+      const neural::SynapticRow row = app->rows().find(at.second);
+      ASSERT_EQ(row.synapses.size(), synapses.size()) << "key=" << at.second;
       for (std::size_t k = 0; k < synapses.size(); ++k) {
-        EXPECT_EQ(row->synapses[k].target, synapses[k].target)
+        EXPECT_EQ(row.synapses[k].target, synapses[k].target)
             << "key=" << at.second << " k=" << k;
-        EXPECT_EQ(row->synapses[k].delay, synapses[k].delay)
+        EXPECT_EQ(row.synapses[k].delay, synapses[k].delay)
             << "key=" << at.second << " k=" << k;
-        EXPECT_EQ(row->synapses[k].weight_raw, synapses[k].weight_raw)
+        EXPECT_EQ(row.synapses[k].weight_raw, synapses[k].weight_raw)
             << "key=" << at.second << " k=" << k;
       }
     }

@@ -634,6 +634,16 @@ TEST(NetServer, HalfCloseDrainsPipelinedRepliesBeforeClosing) {
 // exactly enough slots for the listener and the epoll set but not the
 // pipe, and demand the diagnostic.
 TEST(NetServer, WakeupConstructionFailureIsLoudNotSilent) {
+  NetConfig cfg;
+  cfg.reactors = 1;
+  cfg.session.workers = 0;  // no scheduler threads to complicate fd math
+  // Construct the same server once while fds are free.  Under UBSan the
+  // vptr check of each new dynamic type probes memory through a pipe(2) of
+  // its own, which fails once the table is full; a type it has checked
+  // before is answered from its cache, so the failure below stays the
+  // server's.
+  { NetServer warm(cfg); }
+
   rlimit saved{};
   ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
   rlimit tight = saved;
@@ -655,9 +665,6 @@ TEST(NetServer, WakeupConstructionFailureIsLoudNotSilent) {
     hogs.pop_back();
   }
 
-  NetConfig cfg;
-  cfg.reactors = 1;
-  cfg.session.workers = 0;  // no scheduler threads to complicate fd math
   try {
     NetServer srv(cfg);
     FAIL() << "NetServer constructed with no free fd for the wakeup pipe";

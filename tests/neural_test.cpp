@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <random>
 #include <vector>
 
 #include "neural/input_ring.hpp"
@@ -222,11 +224,10 @@ TEST(RowStore, FindAndAccounting) {
   std::vector<StagedSynapse> staged;
   stage(staged, 100, 3);
   stage(staged, 200, 5);
-  const RowStore store(staged);
+  RowStore store(staged);
   EXPECT_EQ(store.num_rows(), 2u);
-  ASSERT_NE(store.find(100), nullptr);
-  EXPECT_EQ(store.find(100)->synapses.size(), 3u);
-  EXPECT_EQ(store.find(999), nullptr);
+  EXPECT_EQ(store.find(100).synapses.size(), 3u);
+  EXPECT_TRUE(store.find(999).synapses.empty());
   EXPECT_EQ(store.total_bytes(), (4 + 12) + (4 + 20u));
 }
 
@@ -240,18 +241,18 @@ TEST(RowStore, MasterTableLookupsMissWithoutGrowing) {
   RowStore store(staged);
   // A hit and misses within one source slice: between rows and past the
   // slice's last indexed neuron.
-  ASSERT_NE(store.find(slice3 + 5), nullptr);
-  EXPECT_EQ(store.find(slice3 + 5)->synapses.size(), 2u);
-  EXPECT_EQ(store.find(slice4 + 5)->synapses.size(), 3u);
-  EXPECT_EQ(store.find(slice3 + 2), nullptr);
-  EXPECT_EQ(store.find(slice3 + 6), nullptr);
+  EXPECT_EQ(store.find(slice3 + 5).synapses.size(), 2u);
+  EXPECT_EQ(store.find(slice4 + 5).synapses.size(), 3u);
+  EXPECT_TRUE(store.find(slice3 + 2).synapses.empty());
+  EXPECT_TRUE(store.find(slice3 + 6).synapses.empty());
   // Unseen slices: below the table's slices, and past its end.
-  EXPECT_EQ(store.find(RoutingKey{1} << kNeuronKeyBits), nullptr);
-  EXPECT_EQ(store.find(RoutingKey{5} << kNeuronKeyBits), nullptr);
-  EXPECT_EQ(store.find_mutable(0xFFFFFFFFu), nullptr);
-  // Lookups never add rows; both lookups of a known key reach its row.
+  EXPECT_TRUE(store.find(RoutingKey{1} << kNeuronKeyBits).synapses.empty());
+  EXPECT_TRUE(store.find(RoutingKey{5} << kNeuronKeyBits).synapses.empty());
+  EXPECT_TRUE(store.find(0xFFFFFFFFu).synapses.empty());
+  // Lookups never add rows; two lookups of a known key reach one row.
   EXPECT_EQ(store.num_rows(), 3u);
-  EXPECT_EQ(store.find_mutable(slice3 + 5), store.find(slice3 + 5));
+  EXPECT_EQ(store.find(slice3 + 5).synapses.data(),
+            store.find(slice3 + 5).synapses.data());
   EXPECT_EQ(store.num_rows(), 3u);
   EXPECT_EQ(store.total_bytes(), (4 + 8) + (4 + 4) + (4 + 12u));
 }
@@ -269,13 +270,13 @@ TEST(RowStore, TableHoldsOnlyTheSourceSlicesThatProjectHere) {
   const RoutingKey top = kSliceKeyMask;
   stage(staged, top, 3);
   stage(staged, low, 2);
-  const RowStore store(staged);
+  RowStore store(staged);
   EXPECT_EQ(store.num_slices(), 3u);
   EXPECT_EQ(store.num_rows(), 3u);
-  EXPECT_EQ(store.find(high)->synapses.size(), 1u);
-  EXPECT_EQ(store.find(low)->synapses.size(), 2u);
-  EXPECT_EQ(store.find(top)->synapses.size(), 3u);
-  EXPECT_EQ(store.find(RoutingKey{100} << kNeuronKeyBits), nullptr);
+  EXPECT_EQ(store.find(high).synapses.size(), 1u);
+  EXPECT_EQ(store.find(low).synapses.size(), 2u);
+  EXPECT_EQ(store.find(top).synapses.size(), 3u);
+  EXPECT_TRUE(store.find(RoutingKey{100} << kNeuronKeyBits).synapses.empty());
   EXPECT_EQ(store.num_slices(), 3u);
 }
 
@@ -296,21 +297,156 @@ TEST(RowStore, RowKeepsGenerationOrderAcrossInterleavedProjections) {
       }
     }
   }
-  const RowStore store(staged);
+  RowStore store(staged);
   EXPECT_EQ(store.num_rows(), 3u);
   EXPECT_EQ(store.num_slices(), 1u);
   for (RoutingKey n = 0; n < 3; ++n) {
-    const SynapticRow* row = store.find(pre + n);
-    ASSERT_NE(row, nullptr);
-    ASSERT_EQ(row->synapses.size(), 4u);
-    EXPECT_EQ(row->synapses[0].target, 0u);
-    EXPECT_EQ(row->synapses[1].target, 1u);
-    EXPECT_EQ(row->synapses[2].target, 10u);
-    EXPECT_EQ(row->synapses[3].target, 11u);
+    const SynapticRow row = store.find(pre + n);
+    ASSERT_EQ(row.synapses.size(), 4u);
+    EXPECT_EQ(row.synapses[0].target, 0u);
+    EXPECT_EQ(row.synapses[1].target, 1u);
+    EXPECT_EQ(row.synapses[2].target, 10u);
+    EXPECT_EQ(row.synapses[3].target, 11u);
     // A row is plastic when any of its synapses is.
-    EXPECT_EQ(row->plastic, n == 1);
+    EXPECT_EQ(row.plastic(), n == 1);
   }
   EXPECT_EQ(store.total_bytes(), 3u * (4 + 16));
+}
+
+bool same_synapse(const Synapse& a, const Synapse& b) {
+  return a.weight_raw == b.weight_raw && a.delay == b.delay &&
+         a.inhibitory == b.inhibitory && a.plastic == b.plastic &&
+         a.target == b.target;
+}
+
+TEST(RowStore, MatchesAReferenceMapOnRandomStages) {
+  std::mt19937 gen(20261018);
+  const auto draw = [&](std::uint32_t lo, std::uint32_t hi) {
+    return std::uniform_int_distribution<std::uint32_t>(lo, hi)(gen);
+  };
+  constexpr RoutingKey kNeurons = RoutingKey{1} << kNeuronKeyBits;
+  for (int trial = 0; trial < 25; ++trial) {
+    SCOPED_TRACE(trial);
+    // A few source slices, any number in the key layout, each sending from
+    // its neurons below a width that is sometimes the whole slice.
+    std::vector<RoutingKey> slices(draw(1, 6));
+    std::vector<RoutingKey> widths(slices.size());
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+      slices[i] = draw(0, kSliceKeyMask >> kNeuronKeyBits);
+      widths[i] = draw(0, 3) == 0 ? kNeurons : draw(1, 300);
+    }
+    // Synapses come in runs from one source neuron, as the loader makes
+    // them; a neuron's runs may be apart, as two projections make them.
+    std::map<RoutingKey, std::vector<Synapse>> reference;
+    std::vector<StagedSynapse> staged;
+    const std::uint32_t runs = draw(0, 400);
+    for (std::uint32_t r = 0; r < runs; ++r) {
+      const std::size_t i =
+          draw(0, static_cast<std::uint32_t>(slices.size()) - 1);
+      const RoutingKey key =
+          (slices[i] << kNeuronKeyBits) + draw(0, widths[i] - 1);
+      for (std::uint32_t n = draw(1, 5); n > 0; --n) {
+        Synapse s;
+        s.weight_raw = static_cast<std::uint16_t>(draw(0, 0xFFFF));
+        s.delay = static_cast<std::uint8_t>(draw(1, kMaxDelayTicks));
+        s.inhibitory = draw(0, 1) == 1;
+        s.plastic = draw(0, 7) == 0;
+        s.target = static_cast<std::uint16_t>(draw(0, kNeurons - 1));
+        staged.push_back({key, s});
+        reference[key].push_back(s);
+      }
+    }
+    RowStore store(staged);
+    std::uint64_t bytes = 0;
+    for (const auto& [key, synapses] : reference) {
+      bytes += 4 + 4 * synapses.size();
+    }
+    EXPECT_EQ(store.num_rows(), reference.size());
+    EXPECT_EQ(store.total_bytes(), bytes);
+
+    // Every neuron of every slice the stage used and of its neighbours:
+    // keys inside a slice's indexed range, past its end, and in slices
+    // that send nothing here.
+    std::vector<RoutingKey> keys = {0, 0xFFFFFFFFu};
+    for (const RoutingKey slice : slices) {
+      for (const RoutingKey near : {slice - 1, slice, slice + 1}) {
+        if (near > (kSliceKeyMask >> kNeuronKeyBits)) continue;
+        for (RoutingKey n = 0; n < kNeurons; ++n) {
+          keys.push_back((near << kNeuronKeyBits) + n);
+        }
+      }
+    }
+    for (const RoutingKey key : keys) {
+      const SynapticRow row = store.find(key);
+      const auto want = reference.find(key);
+      if (want == reference.end()) {
+        ASSERT_TRUE(row.synapses.empty()) << "key=" << key;
+        continue;
+      }
+      ASSERT_EQ(row.synapses.size(), want->second.size()) << "key=" << key;
+      bool plastic = false;
+      for (std::size_t k = 0; k < row.synapses.size(); ++k) {
+        ASSERT_TRUE(same_synapse(row.synapses[k], want->second[k]))
+            << "key=" << key << " k=" << k;
+        plastic = plastic || want->second[k].plastic;
+      }
+      EXPECT_EQ(row.plastic(), plastic) << "key=" << key;
+    }
+  }
+}
+
+TEST(RowStore, StoreWithoutAPlasticSynapseKeepsNoHistory) {
+  std::vector<StagedSynapse> staged;
+  stage(staged, 100, 3);
+  stage(staged, 200, 5);
+  RowStore store(staged);
+  for (const RoutingKey key : {100u, 200u}) {
+    const SynapticRow row = store.find(key);
+    ASSERT_FALSE(row.synapses.empty());
+    EXPECT_EQ(row.history, nullptr);
+    EXPECT_FALSE(row.plastic());
+  }
+}
+
+TEST(RowStore, PlasticRowKeepsOrderFlagAndHistoryAcrossFinds) {
+  // A static projection, then a plastic one, each give neuron 0 a synapse;
+  // neuron 1 has only the static one.
+  const RoutingKey pre = RoutingKey{9} << kNeuronKeyBits;
+  std::vector<StagedSynapse> staged;
+  for (int proj = 0; proj < 2; ++proj) {
+    for (RoutingKey n = 0; n < 2; ++n) {
+      StagedSynapse s;
+      s.key = pre + n;
+      s.synapse.target = static_cast<std::uint16_t>(10 * proj + n);
+      s.synapse.plastic = proj == 1;
+      if (proj == 0 || n == 0) staged.push_back(s);
+    }
+  }
+  RowStore store(staged);
+  const SynapticRow row = store.find(pre);
+  ASSERT_EQ(row.synapses.size(), 2u);
+  EXPECT_EQ(row.synapses[0].target, 0u);
+  EXPECT_FALSE(row.synapses[0].plastic);
+  EXPECT_EQ(row.synapses[1].target, 10u);
+  EXPECT_TRUE(row.synapses[1].plastic);
+  EXPECT_TRUE(row.plastic());
+  EXPECT_FALSE(store.find(pre + 1).plastic());
+
+  // What one fetch of the row writes, the next fetch reads.
+  ASSERT_NE(row.history, nullptr);
+  EXPECT_FALSE(row.history->has_fired_before);
+  row.history->last_pre_tick = 42;
+  row.history->has_fired_before = true;
+  row.synapses[1].weight_raw = 77;
+  const SynapticRow again = store.find(pre);
+  ASSERT_NE(again.history, nullptr);
+  EXPECT_EQ(again.history->last_pre_tick, 42u);
+  EXPECT_TRUE(again.history->has_fired_before);
+  EXPECT_TRUE(again.plastic());
+  EXPECT_EQ(again.synapses[1].weight_raw, 77u);
+  const SynapticRow other = store.find(pre + 1);
+  ASSERT_NE(other.history, nullptr);
+  EXPECT_FALSE(other.history->has_fired_before);
 }
 
 // ---- network builder ---------------------------------------------------------

@@ -52,9 +52,9 @@ struct PairingRig {
   }
 
   double weight_now() {
-    const neural::SynapticRow* row = post_app->rows().find(pre_key);
-    if (row == nullptr || row->synapses.empty()) return -1.0;
-    return static_cast<double>(row->synapses[0].weight_raw) / 256.0;
+    const neural::SynapticRow row = post_app->rows().find(pre_key);
+    if (row.synapses.empty()) return -1.0;
+    return static_cast<double>(row.synapses[0].weight_raw) / 256.0;
   }
 };
 

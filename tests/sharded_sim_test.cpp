@@ -465,5 +465,19 @@ TEST_P(LongrunStreams, MatchPinnedDigestOnSerialAndShardedEngines) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LongrunStreams, ::testing::Values(1u, 2u, 3u));
 
+// How a core stores its rows may change; what a load accounts for may not.
+// bench_e12's longrun net, under the session seed that wirebench's longrun
+// seed 1 derives, loads exactly these synapses, rows and SDRAM bytes.
+TEST(LongrunLoad, AccountsTheSameSynapsesRowsAndSdramBytes) {
+  const server::SessionSpec spec =
+      longrun_spec(57798645, sim::EngineKind::Serial);
+  System sys(server::system_config(spec));
+  const map::LoadReport report = sys.load(server::build_network(spec));
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.total_synapses, 160290u);
+  EXPECT_EQ(report.total_rows, 108488u);
+  EXPECT_EQ(report.sdram_bytes, 1075112u);
+}
+
 }  // namespace
 }  // namespace spinn
