@@ -30,11 +30,12 @@
 // worker, so `busiest` (that worker's events, summed over windows) bounds
 // the run, and efficiency = events / (threads x busiest) is the share of
 // the threads' window time that did work.  These counts repeat exactly on
-// any host; the wall times do not.
-#include <algorithm>
+// any host; the wall times do not, so `run(ms)` is the median System::run
+// of a section's timed reps and `IQR(ms)` their interquartile range.
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "core/system.hpp"
@@ -42,6 +43,7 @@
 #include "net/client.hpp"
 #include "server/spec.hpp"
 #include "sim/sharded_simulator.hpp"
+#include "sim/stats.hpp"
 
 namespace {
 
@@ -153,21 +155,33 @@ LongrunResult run_longrun(const sim::EngineConfig& engine) {
   return r;
 }
 
+/// The median and interquartile range of a section's timed run(ms).
+struct Spread {
+  double median = 0.0;
+  std::string iqr;
+};
+
+Spread spread(const std::vector<double>& ms) {
+  char iqr[32];
+  std::snprintf(iqr, sizeof iqr, "%.1f-%.1f", sim::percentile(ms, 0.25),
+                sim::percentile(ms, 0.75));
+  return Spread{sim::percentile(ms, 0.5), iqr};
+}
+
 void longrun_table(spinn::bench::Harness& h) {
   std::printf("\nwire longrun, seed 1, 100 bio ms: serial and 4 shards\n");
-  std::printf("%-12s %10s %10s %8s %10s %-36s %6s\n", "engine", "run(ms)",
-              "events", "windows", "busiest", "per-shard events", "eff");
-  // The run(ms) column is the fastest System::run of a section's runs.
-  const auto fastest = [](double best, double ms) {
-    return best == 0.0 ? ms : std::min(best, ms);
-  };
+  std::printf("%-12s %10s %13s %10s %8s %10s %-36s %6s\n", "engine",
+              "run(ms)", "IQR(ms)", "events", "windows", "busiest",
+              "per-shard events", "eff");
   LongrunResult serial;
-  double serial_ms = 0.0;
+  std::vector<double> serial_ms;
   h.run("longrun_serial", [&] {
     serial = run_longrun(sim::EngineConfig{});
-    serial_ms = fastest(serial_ms, serial.run_ms);
+    if (!h.warming_up()) serial_ms.push_back(serial.run_ms);
   });
-  std::printf("%-12s %10.1f %10llu %8s %10s %-36s %6s\n", "serial", serial_ms,
+  const Spread serial_spread = spread(serial_ms);
+  std::printf("%-12s %10.1f %13s %10llu %8s %10s %-36s %6s\n", "serial",
+              serial_spread.median, serial_spread.iqr.c_str(),
               static_cast<unsigned long long>(serial.events), "-", "-", "-",
               "-");
   bool all_equal = true;
@@ -179,11 +193,12 @@ void longrun_table(spinn::bench::Harness& h) {
     const std::string label = "4s" + std::to_string(threads) + "t";
     const std::string section = "longrun_" + label;
     LongrunResult r;
-    double best_ms = 0.0;
+    std::vector<double> run_ms;
     h.run(section, [&] {
       r = run_longrun(ec);
-      best_ms = fastest(best_ms, r.run_ms);
+      if (!h.warming_up()) run_ms.push_back(r.run_ms);
     });
+    const Spread run_spread = spread(run_ms);
     std::string shards;
     for (const std::uint64_t e : r.shard_events) {
       if (!shards.empty()) shards += ' ';
@@ -197,8 +212,8 @@ void longrun_table(spinn::bench::Harness& h) {
                       : 1.0;
     const bool equal = r.spikes == serial.spikes && r.events == serial.events;
     all_equal = all_equal && equal;
-    std::printf("%-12s %10.1f %10llu %8llu %10llu %-36s %6.3f%s\n",
-                label.c_str(), best_ms,
+    std::printf("%-12s %10.1f %13s %10llu %8llu %10llu %-36s %6.3f%s\n",
+                label.c_str(), run_spread.median, run_spread.iqr.c_str(),
                 static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(r.windows),
                 static_cast<unsigned long long>(r.busiest), shards.c_str(),
@@ -206,9 +221,9 @@ void longrun_table(spinn::bench::Harness& h) {
     h.metric(section + "_busiest_events", static_cast<double>(r.busiest),
              "events");
     h.metric(section + "_efficiency", eff, "ratio");
-    h.metric(section + "_run_ms", best_ms, "ms");
+    h.metric(section + "_run_ms", run_spread.median, "ms");
   }
-  h.metric("longrun_serial_run_ms", serial_ms, "ms");
+  h.metric("longrun_serial_run_ms", serial_spread.median, "ms");
   h.metric("longrun_equality", all_equal ? 1.0 : 0.0, "bool");
 }
 

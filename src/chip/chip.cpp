@@ -24,19 +24,11 @@ Chip::Chip(sim::Simulator& sim, ChipCoord coord, const ChipConfig& config,
                                 const router::Packet& p) {
     comms_noc_.deliver(cores, p);
   });
-  router_.set_monitor_sink([this](const router::Packet& p) {
-    if (monitor_packet_handler_) monitor_packet_handler_(p);
-  });
-  router_.set_monitor_notify([this](const router::RouterEvent& e) {
-    if (monitor_event_handler_) monitor_event_handler_(e);
-  });
 
   cores_.reserve(cfg_.num_cores);
-  dmas_.reserve(cfg_.num_cores);
   for (CoreIndex i = 0; i < cfg_.num_cores; ++i) {
-    dmas_.push_back(std::make_unique<DmaController>(sim_, system_noc_));
     auto c = std::make_unique<Core>(sim_, CoreId{coord_, i}, clock_,
-                                    *dmas_.back(), rng_.next());
+                                    system_noc_, rng_.next());
     c->set_mc_send([this](const router::Packet& p) { comms_noc_.inject(p); });
     c->set_p2p_send([this](const router::Packet& p) { comms_noc_.inject(p); });
     cores_.push_back(std::move(c));

@@ -12,7 +12,6 @@
 #include "common/types.hpp"
 #include "chip/clock_domain.hpp"
 #include "chip/core.hpp"
-#include "chip/dma_controller.hpp"
 #include "chip/sdram.hpp"
 #include "chip/system_controller.hpp"
 #include "noc/comms_noc.hpp"
@@ -84,11 +83,11 @@ class Chip {
 
   /// Packets addressed to "the monitor" (nn, p2p Local) land here.
   void set_monitor_packet_handler(MonitorPacketHandler h) {
-    monitor_packet_handler_ = std::move(h);
+    router_.set_monitor_sink(std::move(h));
   }
   /// Router diagnostics (drops, emergency routing) land here.
   void set_monitor_event_handler(MonitorEventHandler h) {
-    monitor_event_handler_ = std::move(h);
+    router_.set_monitor_notify(std::move(h));
   }
 
   /// Start the 1 ms application timers on every usable application core.
@@ -115,11 +114,7 @@ class Chip {
   noc::SystemNoc system_noc_;
   noc::CommsNoc comms_noc_;
   router::Router router_;
-  std::vector<std::unique_ptr<DmaController>> dmas_;
   std::vector<std::unique_ptr<Core>> cores_;
-
-  MonitorPacketHandler monitor_packet_handler_;
-  MonitorEventHandler monitor_event_handler_;
 
   bool timers_running_ = false;
   TimeNs timer_period_local_ = 0;

@@ -5,10 +5,8 @@
 namespace spinn::chip {
 
 Core::Core(sim::Simulator& sim, CoreId id, const ClockDomain& clock,
-           DmaController& dma, std::uint64_t seed)
-    : sim_(sim), id_(id), clock_(clock), dma_(dma), rng_(seed) {
-  dma_.set_completion([this](const DmaDone& d) { dma_interrupt(d); });
-}
+           noc::SystemNoc& system_noc, std::uint64_t seed)
+    : sim_(sim), id_(id), clock_(clock), system_noc_(system_noc), rng_(seed) {}
 
 void Core::load_program(std::unique_ptr<CoreProgram> program) {
   program_ = std::move(program);
@@ -70,11 +68,13 @@ void Core::send_p2p(P2pAddress dst, std::uint32_t payload) {
 }
 
 void Core::dma_read(std::uint32_t bytes, std::uint64_t cookie) {
-  dma_.read(bytes, cookie);
+  const DmaDone done{bytes, cookie, /*was_write=*/false};
+  system_noc_.transfer(bytes, [this, done] { dma_interrupt(done); });
 }
 
 void Core::dma_write(std::uint32_t bytes, std::uint64_t cookie) {
-  dma_.write(bytes, cookie);
+  const DmaDone done{bytes, cookie, /*was_write=*/true};
+  system_noc_.transfer(bytes, [this, done] { dma_interrupt(done); });
 }
 
 void Core::timer_interrupt() {

@@ -21,6 +21,10 @@
 // the cases where the completion does something.  Every event therefore
 // keeps the key and the place in the order it would have with a completion
 // event per handler.
+//
+// DMA (§4, Fig. 4) moves synaptic rows between SDRAM and local memory: the
+// core queues the transfer on the System NoC, which models its contention
+// with the other cores, and the completion is the priority-2 interrupt.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +37,18 @@
 #include "common/types.hpp"
 #include "common/units.hpp"
 #include "chip/clock_domain.hpp"
-#include "chip/dma_controller.hpp"
+#include "noc/system_noc.hpp"
 #include "router/packet.hpp"
 #include "sim/simulator.hpp"
 
 namespace spinn::chip {
+
+/// A finished DMA, as the priority-2 interrupt hands it to the program.
+struct DmaDone {
+  std::uint32_t bytes = 0;
+  std::uint64_t cookie = 0;  // caller-defined (e.g. which synaptic row)
+  bool was_write = false;
+};
 
 /// Services a program running on a core may invoke.
 class CoreApi {
@@ -113,7 +124,7 @@ class Core final : public CoreApi {
   using P2pSend = std::function<void(const router::Packet&)>;
 
   Core(sim::Simulator& sim, CoreId id, const ClockDomain& clock,
-       DmaController& dma, std::uint64_t seed);
+       noc::SystemNoc& system_noc, std::uint64_t seed);
 
   // CoreApi
   void send_mc(RoutingKey key, std::optional<std::uint32_t> payload) override;
@@ -199,7 +210,7 @@ class Core final : public CoreApi {
   CoreId id_;
   sim::ActorId actor_ = sim::kRootActor;
   const ClockDomain& clock_;
-  DmaController& dma_;
+  noc::SystemNoc& system_noc_;
   Rng rng_;
   std::unique_ptr<CoreProgram> program_;
   McSend mc_send_;

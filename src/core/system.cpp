@@ -1,21 +1,17 @@
 #include "core/system.hpp"
 
-#include <stdexcept>
-
-#include "neural/sharded_recorder.hpp"
-#include "sim/sharded_simulator.hpp"
-
 namespace spinn {
 
 System::System(const SystemConfig& cfg)
     : cfg_(cfg),
       owned_engine_(sim::make_engine(cfg.engine, cfg.machine.seed)),
-      engine_(owned_engine_.get()) {
+      engine_(owned_engine_.get()),
+      recorder_(engine_->num_shards()) {
   machine_ = std::make_unique<mesh::Machine>(*engine_, cfg_.machine);
 }
 
 System::System(const SystemConfig& cfg, sim::ISimulationEngine& engine)
-    : cfg_(cfg), engine_(&engine) {
+    : cfg_(cfg), engine_(&engine), recorder_(engine.num_shards()) {
   // Re-entrant setup: whatever the engine ran before, a reset makes it
   // bit-indistinguishable from a new one before the machine wires into it.
   engine_->reset(cfg_.machine.seed);
@@ -23,18 +19,6 @@ System::System(const SystemConfig& cfg, sim::ISimulationEngine& engine)
 }
 
 System::~System() = default;
-
-neural::SpikeRecorder* System::recording_sink() {
-  // Keyed off the engine's actual type, not cfg_.engine: a borrowed engine
-  // may differ from whatever the config says.
-  auto* sharded = dynamic_cast<sim::ShardedSimulator*>(engine_);
-  if (sharded == nullptr) return &recorder_;
-  if (!sharded_recorder_) {
-    sharded_recorder_ = std::make_unique<neural::ShardedSpikeRecorder>(
-        *sharded, recorder_);
-  }
-  return sharded_recorder_.get();
-}
 
 boot::BootReport System::boot() {
   boot_ = std::make_unique<boot::BootController>(engine_->root(), *machine_,
@@ -68,7 +52,7 @@ boot::BootReport System::boot() {
 map::LoadReport System::load(const neural::Network& net) {
   loader_ = std::make_unique<map::Loader>(cfg_.mapper);
   Rng rng(cfg_.machine.seed ^ 0x10adD00Dull);
-  return loader_->load(net, *machine_, recording_sink(), rng);
+  return loader_->load(net, *machine_, &recorder_, rng);
 }
 
 void System::run(TimeNs duration) {
@@ -77,6 +61,7 @@ void System::run(TimeNs duration) {
     timers_started_ = true;
   }
   engine_->run_until(engine_->now() + duration);
+  recorder_.merge();
 }
 
 }  // namespace spinn

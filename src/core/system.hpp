@@ -89,8 +89,6 @@ class System {
   }
 
  private:
-  neural::SpikeRecorder* recording_sink();
-
   SystemConfig cfg_;
   /// Set only by the owning constructor; borrowed engines stay with their
   /// owner.  Declared before engine_ so the raw pointer never dangles.
@@ -99,8 +97,9 @@ class System {
   std::unique_ptr<mesh::Machine> machine_;
   std::unique_ptr<boot::BootController> boot_;
   std::unique_ptr<map::Loader> loader_;
+  /// One buffer per engine shard; run() merges them when the engine
+  /// returns.
   neural::SpikeRecorder recorder_;
-  std::unique_ptr<neural::SpikeRecorder> sharded_recorder_;
   bool timers_started_ = false;
   std::vector<neural::NeuronApp*> no_apps_;
 };

@@ -55,8 +55,7 @@ void Machine::wire_links() {
       // under the receiving chip (and, under the sharded engine, on the
       // receiving chip's shard) with flight_ns of lookahead still ahead.
       chips_[i]->router().port(d).set_sink(
-          [this, link](const router::Packet& p) { depart(link, p); },
-          router::OutputPort::SinkTiming::Departure);
+          [this, link](const router::Packet& p) { depart(link, p); });
     }
   }
 }
@@ -75,20 +74,14 @@ void Machine::arrive(std::size_t link, const router::Packet& p) {
   chips_[j]->router().receive(p, opposite(d));
 }
 
-void Machine::fail_link(ChipCoord c, LinkDir d, bool bidirectional) {
+void Machine::fail_link(ChipCoord c, LinkDir d) {
   chip_at(c).router().port(d).fail();
-  if (bidirectional) {
-    const ChipCoord nc = topo_.neighbour(c, d);
-    chip_at(nc).router().port(opposite(d)).fail();
-  }
+  chip_at(topo_.neighbour(c, d)).router().port(opposite(d)).fail();
 }
 
-void Machine::repair_link(ChipCoord c, LinkDir d, bool bidirectional) {
+void Machine::repair_link(ChipCoord c, LinkDir d) {
   chip_at(c).router().port(d).repair();
-  if (bidirectional) {
-    const ChipCoord nc = topo_.neighbour(c, d);
-    chip_at(nc).router().port(opposite(d)).repair();
-  }
+  chip_at(topo_.neighbour(c, d)).router().port(opposite(d)).repair();
 }
 
 void Machine::fail_chip(ChipCoord c) {

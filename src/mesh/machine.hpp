@@ -57,10 +57,10 @@ class Machine {
   HostLink& host_link() { return *host_link_; }
 
   /// Fault injection ------------------------------------------------------
-  /// Fail the link leaving `c` in direction `d` (and, by default, the
-  /// reverse direction too — inter-chip links are physically one bundle).
-  void fail_link(ChipCoord c, LinkDir d, bool bidirectional = true);
-  void repair_link(ChipCoord c, LinkDir d, bool bidirectional = true);
+  /// Fail the link leaving `c` in direction `d` and the reverse direction
+  /// too: inter-chip links are physically one bundle.
+  void fail_link(ChipCoord c, LinkDir d);
+  void repair_link(ChipCoord c, LinkDir d);
 
   /// Kill a whole chip: cores stop, router stops forwarding.
   void fail_chip(ChipCoord c);

@@ -1,6 +1,12 @@
 // Spike recording: an append-only log of (time, AER key) pairs, shared by
 // all recording cores.  The host-side analogue is the spike data streamed
 // back over Ethernet after a run.
+//
+// Worker threads must not share the log, so a spike recorded inside a
+// sharded engine's event waits in its shard's buffer, stamped with the
+// event's key, until merge().  The keys are shard-stable
+// (sim/event_queue.hpp), so the merged log is bit-identical to what the
+// serial engine records directly.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +16,7 @@
 
 #include "common/types.hpp"
 #include "common/units.hpp"
+#include "sim/event_queue.hpp"
 
 namespace spinn::neural {
 
@@ -20,14 +27,18 @@ class SpikeRecorder {
     RoutingKey key = 0;
   };
 
-  virtual ~SpikeRecorder() = default;
+  /// `shards`: the shard count of the engine whose events record here.
+  explicit SpikeRecorder(std::size_t shards = 1) : buffers_(shards) {}
 
-  /// Virtual so the sharded engine can substitute a per-shard buffering
-  /// front-end (neural/sharded_recorder.hpp) without the apps noticing.
-  virtual void record(TimeNs time, RoutingKey key) {
-    events_.push_back(Event{time, key});
-    ++total_recorded_;
-  }
+  /// Append to the log or, inside a shard's event, to that shard's buffer.
+  /// A shard the recorder was not sized for throws std::out_of_range.
+  void record(TimeNs time, RoutingKey key);
+
+  /// Move the buffered spikes into the log in key order.  Call it with no
+  /// shard running (System::run does, when the engine returns).  A shard
+  /// runs its events in key order, and one event's spikes share one
+  /// buffer, so a stable sort keeps their emission order.
+  void merge();
 
   /// Events still held in the log: everything recorded in the default
   /// (retaining) mode, only the undrained tail under retain_drained(false).
@@ -37,6 +48,7 @@ class SpikeRecorder {
   std::size_t count() const { return total_recorded_; }
   void clear() {
     events_.clear();
+    for (auto& buf : buffers_) buf.clear();
     drain_pos_ = 0;
     total_recorded_ = 0;
     drained_total_ = 0;
@@ -97,7 +109,15 @@ class SpikeRecorder {
   }
 
  private:
+  struct Pending {
+    sim::EventKey order;
+    Event event;
+  };
+
   std::vector<Event> events_;
+  /// One per shard, appended to only by the thread running that shard.
+  std::vector<std::vector<Pending>> buffers_;
+  std::vector<Pending> merging_;
   std::size_t drain_pos_ = 0;
   std::size_t total_recorded_ = 0;
   std::size_t drained_total_ = 0;

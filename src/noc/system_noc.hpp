@@ -1,6 +1,5 @@
 // The System NoC (§4, Fig. 3): the general-purpose on-chip interconnect
-// through which the 20 processors (via their DMA controllers) reach the
-// shared off-chip SDRAM.
+// through which the 20 processors reach the shared off-chip SDRAM by DMA.
 //
 // Model: a single serially-shared resource.  Transfers queue FIFO and are
 // serviced at the SDRAM's sustained bandwidth plus a first-word latency.
@@ -28,7 +27,7 @@ class SystemNoc {
 
   SystemNoc(sim::Simulator& sim, const SystemNocConfig& config);
 
-  /// Scheduled events and DMA controllers hold `this`: a NoC never moves.
+  /// Scheduled events and cores hold `this`: a NoC never moves.
   SystemNoc(const SystemNoc&) = delete;
   SystemNoc& operator=(const SystemNoc&) = delete;
 

@@ -43,15 +43,7 @@ void OutputPort::finish_service() {
   ++sent_;
   const Packet delivered = in_flight_;
   busy_ = false;
-  if (sink_) {
-    if (sink_timing_ == SinkTiming::Departure) {
-      sink_(delivered);
-    } else {
-      sim_.after_as(cfg_.flight_ns, actor_,
-                    [this, delivered] { sink_(delivered); },
-                    sim::EventPriority::Fabric);
-    }
-  }
+  if (sink_) sink_(delivered);
   if (!fifo_.empty()) start_service();
 }
 

@@ -30,28 +30,15 @@ class OutputPort {
  public:
   using Sink = std::function<void(const Packet&)>;
 
-  /// When the sink fires relative to the link flight time.
-  enum class SinkTiming : std::uint8_t {
-    /// Sink runs at far-end arrival: serialization + flight_ns after the
-    /// packet starts transmitting.  The port schedules the flight itself.
-    Arrival,
-    /// Sink runs synchronously at end-of-serialization (wire departure);
-    /// the wiring owns the flight delay.  The machine uses this so a
-    /// cross-shard delivery can be posted with its full flight_ns of
-    /// lookahead still ahead of it.
-    Departure,
-  };
-
   OutputPort(sim::Simulator& sim, const OutputPortConfig& config);
 
   /// Scheduled events hold `this`: a port never moves.
   OutputPort(const OutputPort&) = delete;
   OutputPort& operator=(const OutputPort&) = delete;
 
-  void set_sink(Sink sink, SinkTiming timing = SinkTiming::Arrival) {
-    sink_ = std::move(sink);
-    sink_timing_ = timing;
-  }
+  /// The sink runs when a packet's serialization ends (wire departure);
+  /// the machine's wiring owns the flight to the far end.
+  void set_sink(Sink sink) { sink_ = std::move(sink); }
 
   /// Ordering identity of the owning chip's event tree.  Keys the port's
   /// events engine-independently even when the port is poked from a
@@ -81,7 +68,6 @@ class OutputPort {
   OutputPortConfig cfg_;
   sim::ActorId actor_ = sim::kRootActor;
   Sink sink_;
-  SinkTiming sink_timing_ = SinkTiming::Arrival;
   RingFifo<Packet> fifo_;
   bool busy_ = false;     // a packet is currently serializing
   Packet in_flight_{};

@@ -27,10 +27,10 @@ void EnginePool::give_back(const sim::EngineConfig& cfg,
     MutexLock lk(&mu_);
     if (idle_.size() >= kMaxIdle) return;  // over capacity: destroyed
   }
-  // Worth pooling: drop the dead session's queued closures and hooks now —
-  // they may capture pointers into a machine being destroyed, and an idle
-  // engine should not pin a whole scenario's memory.  (Destruction alone
-  // releases them too, which is why the over-capacity path skips this.)
+  // Worth pooling: drop the dead session's queued closures now — they may
+  // capture pointers into a machine being destroyed, and an idle engine
+  // should not pin a whole scenario's memory.  (Destruction alone releases
+  // them too, which is why the over-capacity path skips this.)
   engine->reset(0);
   MutexLock lk(&mu_);
   // Concurrent returns may briefly overshoot kMaxIdle by the number of

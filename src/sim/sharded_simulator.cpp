@@ -17,6 +17,15 @@ namespace {
 /// only one engine drives a given thread at a time).
 thread_local Simulator* tls_current_context = nullptr;
 
+/// Publishes `ctx` as this thread's executing context for one scope, so an
+/// event that throws leaves no stale context behind.
+struct ContextScope {
+  explicit ContextScope(Simulator* ctx) { tls_current_context = ctx; }
+  ~ContextScope() { tls_current_context = nullptr; }
+  ContextScope(const ContextScope&) = delete;
+  ContextScope& operator=(const ContextScope&) = delete;
+};
+
 std::uint32_t resolve_count(std::uint32_t requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -180,7 +189,6 @@ void ShardedSimulator::reset(std::uint64_t seed) {
   shard_of_actor_.assign(1, 0);
   mapped_actors_ = 1;
   lookahead_ = 0;
-  hooks_.clear();
   parallel_active_ = false;
   windows_opened_ = 0;
   busiest_worker_events_ = 0;
@@ -230,9 +238,8 @@ void ShardedSimulator::step_shard(std::size_t shard) {
   const TimeNs when = shards_[shard].ctx->queue().peek_key().when;
   for (auto& s : shards_) s.ctx->queue().advance_to(when);
   Simulator* ctx = shards_[shard].ctx.get();
-  tls_current_context = ctx;
+  const ContextScope running(ctx);
   ctx->queue().step();
-  tls_current_context = nullptr;
 }
 
 std::uint64_t ShardedSimulator::sequential_run_until(TimeNs until) {
@@ -247,7 +254,6 @@ std::uint64_t ShardedSimulator::sequential_run_until(TimeNs until) {
     ++count;
   }
   for (auto& s : shards_) s.ctx->queue().run_window(until, true);
-  fire_hooks(until);
   return count;
 }
 
@@ -331,14 +337,12 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
     }
     const std::int64_t merge_t0 = WallClock::now_ns();
     drain_mailboxes();
-    fire_hooks(bound);
     const std::int64_t merge_t1 = WallClock::now_ns();
     merge_hist().observe(merge_t1 - merge_t0);
     obs::Tracer::global().complete("engine", "engine.merge", merge_t0,
                                    merge_t1 - merge_t0);
   }
   for (auto& s : shards_) s.ctx->queue().run_window(until, true);
-  fire_hooks(until);
   return total;
 }
 
@@ -352,7 +356,6 @@ std::uint64_t ShardedSimulator::run_until(TimeNs until) {
 std::uint64_t ShardedSimulator::run() {
   std::uint64_t count = 0;
   while (step()) ++count;
-  fire_hooks(now());
   return count;
 }
 
@@ -362,14 +365,12 @@ void ShardedSimulator::run_slice(std::uint32_t worker, TimeNs bound,
   try {
     for (std::size_t s = worker; s < shards_.size(); s += pool_threads_) {
       Simulator* ctx = shards_[s].ctx.get();
-      tls_current_context = ctx;
+      const ContextScope running(ctx);
       executed += ctx->queue().run_window(bound, inclusive);
-      tls_current_context = nullptr;
     }
   } catch (...) {
     // Surface on the coordinator after the barrier instead of escaping a
     // worker's stack (which would std::terminate the process).
-    tls_current_context = nullptr;
     MutexLock lk(&error_mutex_);
     if (!pending_error_) pending_error_ = std::current_exception();
   }
@@ -386,10 +387,6 @@ void ShardedSimulator::drain_mailboxes() {
       src.outbox[dst].clear();
     }
   }
-}
-
-void ShardedSimulator::fire_hooks(TimeNs horizon) {
-  for (auto& h : hooks_) h(horizon);
 }
 
 void ShardedSimulator::ensure_workers() {

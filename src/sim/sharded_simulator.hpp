@@ -21,7 +21,6 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -55,18 +54,9 @@ class ShardedSimulator final : public ISimulationEngine {
   std::size_t pending() const override;
   std::uint64_t executed() const override;
   void constrain_lookahead(TimeNs lookahead) override;
-  /// Also drops the window hooks.
   void reset(std::uint64_t seed) override;
 
   // Sharded-specific --------------------------------------------------------
-  /// `hook(horizon)` runs single-threaded after every committed window and
-  /// at the end of each run_until()/run(), with all events below `horizon`
-  /// executed.  Used to merge per-shard observation buffers (spike records)
-  /// back into deterministic global order.
-  void add_window_hook(std::function<void(TimeNs)> hook) {
-    hooks_.push_back(std::move(hook));
-  }
-
   /// Route a cross-actor handoff from `src`'s shard (called by
   /// Simulator::handoff).  Same shard: local insert.  Different shard:
   /// direct insert when single-threaded, mailbox during parallel windows.
@@ -132,7 +122,6 @@ class ShardedSimulator final : public ISimulationEngine {
   void step_shard(std::size_t shard);
   void run_slice(std::uint32_t worker, TimeNs bound, bool inclusive);
   void drain_mailboxes();
-  void fire_hooks(TimeNs horizon);
   void ensure_workers();
   void release_window();
   void await_workers();
@@ -142,7 +131,6 @@ class ShardedSimulator final : public ISimulationEngine {
   std::vector<std::uint32_t> shard_of_actor_{0};  // actor 0 -> shard 0
   ActorId mapped_actors_ = 1;
   TimeNs lookahead_ = 0;
-  std::vector<std::function<void(TimeNs)>> hooks_;
 
   // Worker pool (spawned lazily on the first parallel run).
   std::uint32_t num_threads_;

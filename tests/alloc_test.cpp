@@ -57,9 +57,9 @@ TEST(Allocation, IdlePortsAndQueuesAllocateNothing) {
   EXPECT_EQ(news() - before, 0u);
 }
 
-TEST(Allocation, ChipAllocatesOnlyItsCoresAndDmaControllers) {
-  // Ports, NoCs, router and every queue are members; each core and its
-  // DMA controller are heap objects, held by one vector each.
+TEST(Allocation, ChipAllocatesOnlyItsCores) {
+  // Ports, NoCs, router and every queue are members; each core is a heap
+  // object, held by one vector.
   for (const CoreIndex cores : {CoreIndex{1}, CoreIndex{4}, kCoresPerChip}) {
     sim::Simulator sim;
     chip::ChipConfig cfg;
@@ -67,14 +67,14 @@ TEST(Allocation, ChipAllocatesOnlyItsCoresAndDmaControllers) {
     Rng seeds(7);
     const std::uint64_t before = news();
     chip::Chip chip(sim, ChipCoord{0, 0}, cfg, seeds);
-    EXPECT_EQ(news() - before, 2u + 2u * cores) << "cores=" << int{cores};
+    EXPECT_EQ(news() - before, 1u + cores) << "cores=" << int{cores};
   }
 }
 
 TEST(Allocation, MachineAllocatesNothingPerLink) {
   // A 2x2 and a 4x4 machine differ only in chips; the per-chip cost is the
-  // chip object plus what ChipAllocatesOnlyItsCoresAndDmaControllers
-  // allows, so nothing is spent per link or per port.
+  // chip object plus what ChipAllocatesOnlyItsCores allows, so nothing is
+  // spent per link or per port.
   constexpr CoreIndex kCores = 2;
   auto build = [](std::uint16_t side) {
     sim::Simulator sim;
@@ -88,7 +88,7 @@ TEST(Allocation, MachineAllocatesNothingPerLink) {
   };
   const std::uint64_t small = build(2);
   const std::uint64_t large = build(4);
-  EXPECT_EQ(large - small, (16u - 4u) * (1u + 2u + 2u * kCores));
+  EXPECT_EQ(large - small, (16u - 4u) * (1u + 1u + kCores));
 }
 
 /// The wire benchmark's `longrun` net (1000 Poisson sources driving 3000

@@ -53,6 +53,9 @@ TEST(Machine, PacketCrossesOneLink) {
   m.chip_at({0, 0}).router().receive(p, std::nullopt);
   sim.run();
   EXPECT_EQ(sink.program->received(), 1u);
+  // Router pipeline 100 + serialization 160 (40 bits at 250 Mb/s) + link
+  // flight 10 + far router pipeline 100 + Comms NoC delivery 50.
+  EXPECT_EQ(sink.program->max(), 420);
 }
 
 TEST(Machine, DefaultRoutingCarriesPacketAlongARow) {

@@ -25,28 +25,29 @@ Packet mc_packet(RoutingKey key) {
   return p;
 }
 
-TEST(OutputPort, DeliversWithSerializationPlusFlight) {
+TEST(OutputPort, DeliversAtDeparture) {
+  // The sink runs at wire departure; the flight is the wiring's.
   sim::Simulator sim(1);
   OutputPort port(sim, test_config());
-  std::vector<TimeNs> arrivals;
-  port.set_sink([&](const Packet&) { arrivals.push_back(sim.now()); });
+  std::vector<TimeNs> departures;
+  port.set_sink([&](const Packet&) { departures.push_back(sim.now()); });
   ASSERT_TRUE(port.try_enqueue(mc_packet(1)));
   sim.run();
-  ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_EQ(arrivals[0], 160 + 10);  // 40 bits at 250 Mb/s, then flight
+  ASSERT_EQ(departures.size(), 1u);
+  EXPECT_EQ(departures[0], 160);  // 40 bits at 250 Mb/s
 }
 
-TEST(OutputPort, PayloadPacketsTakeLonger) {
+TEST(OutputPort, PayloadPacketsDepartLater) {
   sim::Simulator sim(1);
   OutputPort port(sim, test_config());
-  std::vector<TimeNs> arrivals;
-  port.set_sink([&](const Packet&) { arrivals.push_back(sim.now()); });
+  std::vector<TimeNs> departures;
+  port.set_sink([&](const Packet&) { departures.push_back(sim.now()); });
   Packet p = mc_packet(1);
   p.payload = 0xDEADBEEF;  // 72 bits -> 288 ns
   ASSERT_TRUE(port.try_enqueue(p));
   sim.run();
-  ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_EQ(arrivals[0], 288 + 10);
+  ASSERT_EQ(departures.size(), 1u);
+  EXPECT_EQ(departures[0], 288);
 }
 
 TEST(OutputPort, SerializesBackToBack) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -477,6 +478,79 @@ TEST(LongrunLoad, AccountsTheSameSynapsesRowsAndSdramBytes) {
   EXPECT_EQ(report.total_synapses, 160290u);
   EXPECT_EQ(report.total_rows, 108488u);
   EXPECT_EQ(report.sdram_bytes, 1075112u);
+}
+
+// ---- spike recording --------------------------------------------------------
+
+struct RecordedTies {
+  std::size_t logged_before_merge = 0;
+  std::vector<std::pair<TimeNs, RoutingKey>> log;
+};
+
+/// Chip actors 1-4 (two per shard on two shards) each run two events at
+/// 100 ns and two at 2,500 ns, and every event records two spikes.  The
+/// keys fall as the actor, the event and the emission order rise, so a log
+/// sorted by time and key cannot pass for the serial order.  One spike is
+/// recorded before the run and one after it, outside any event.
+RecordedTies record_ties(sim::ISimulationEngine& engine) {
+  constexpr sim::ActorId kActors = 4;
+  engine.map_actors(kActors + 1);
+  engine.constrain_lookahead(1000);
+  neural::SpikeRecorder rec(engine.num_shards());
+  rec.record(0, 1);
+  EXPECT_EQ(rec.events().size(), 1u) << "a spike outside any event waited";
+  for (sim::ActorId a = 1; a <= kActors; ++a) {
+    sim::Simulator& ctx = engine.context_of(a);
+    for (int i = 0; i < 4; ++i) {
+      const auto key = static_cast<RoutingKey>(1000 * (kActors + 1 - a) -
+                                               10 * i);
+      ctx.at_as(i < 2 ? 100 : 2500, a, [&rec, &ctx, key] {
+        rec.record(ctx.now(), key);
+        rec.record(ctx.now(), key - 1);
+      });
+    }
+  }
+  engine.run_until(5000);
+  RecordedTies out;
+  out.logged_before_merge = rec.events().size();
+  rec.merge();
+  rec.record(engine.now(), 2);
+  for (const auto& e : rec.events()) out.log.emplace_back(e.time, e.key);
+  return out;
+}
+
+TEST(ShardedRecording, SameInstantSpikesMergeInSerialOrder) {
+  sim::SerialEngine serial(1);
+  const RecordedTies want = record_ties(serial);
+  ASSERT_EQ(want.log.size(), 1u + 4u * 4u * 2u + 1u);
+  EXPECT_EQ(want.logged_before_merge, want.log.size() - 1);
+  // Actor 1's first event, its two spikes in emission order.
+  EXPECT_EQ(want.log[1], (std::pair<TimeNs, RoutingKey>{100, 4000}));
+  EXPECT_EQ(want.log[2], (std::pair<TimeNs, RoutingKey>{100, 3999}));
+
+  sim::ShardedSimulator sharded(1, /*shards=*/2, /*threads=*/2);
+  const RecordedTies got = record_ties(sharded);
+  EXPECT_GT(sharded.windows_opened(), 0u);
+  EXPECT_EQ(got.logged_before_merge, 1u)
+      << "spikes recorded inside a shard's event wait for merge()";
+  EXPECT_EQ(got.log, want.log);
+}
+
+TEST(ShardedRecording, RecorderSizedForFewerShardsThrows) {
+  // One thread runs the sequential merge, two run a window.  Either way the
+  // throw leaves no shard context behind on this thread, where a later
+  // recorder would read it.
+  for (const std::uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    sim::ShardedSimulator engine(1, /*shards=*/2, threads);
+    engine.map_actors(3);  // actor 2 lives on shard 1
+    engine.constrain_lookahead(1000);
+    neural::SpikeRecorder rec;  // one shard
+    sim::Simulator& ctx = engine.context_of(2);
+    ctx.at_as(100, 2, [&rec, &ctx] { rec.record(ctx.now(), 1); });
+    EXPECT_THROW(engine.run_until(1000), std::out_of_range);
+    EXPECT_EQ(sim::ShardedSimulator::current_context(), nullptr);
+  }
 }
 
 }  // namespace
