@@ -7,7 +7,10 @@
 // simulator of a massively-parallel machine is itself massively parallel.
 //
 // This bench sweeps worker threads 1 -> 8 over a large-mesh spiking network
-// and reports events/second and speedup vs the serial reference engine.  The
+// and reports events/second and speedup vs the serial reference engine.
+// Every sharded row opens the same windows: the 1-thread row (`sharded_1t`)
+// runs each window's shard slices on the calling thread alone, so it prices
+// the window bookkeeping without a worker or a barrier.  The
 // link flight time is set to 1 us (a board-to-board figure rather than the
 // 10 ns on-PCB default) to give the conservative window realistic room; the
 // results are bit-identical either way, only wall-clock changes.  Sanity:
@@ -29,9 +32,11 @@
 // how evenly the shards share it.  Every window waits for its busiest
 // worker, so `busiest` (that worker's events, summed over windows) bounds
 // the run, and efficiency = events / (threads x busiest) is the share of
-// the threads' window time that did work.  These counts repeat exactly on
-// any host; the wall times do not, so `run(ms)` is the median System::run
-// of a section's timed reps and `IQR(ms)` their interquartile range.
+// the threads' window time that did work.  The 4s1t row opens the same
+// windows as 4s2t and 4s4t, and its one thread is every window's busiest
+// worker (efficiency 1).  These counts repeat exactly on any host; the
+// wall times do not, so `run(ms)` is the median System::run of a section's
+// timed reps and `IQR(ms)` their interquartile range.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -204,7 +209,7 @@ void longrun_table(spinn::bench::Harness& h) {
       if (!shards.empty()) shards += ' ';
       shards += std::to_string(e);
     }
-    // One thread runs every window alone, so it has no busiest worker.
+    // A run that opened no window has no busiest worker.
     const double eff =
         r.busiest > 0 ? static_cast<double>(r.events) /
                             (static_cast<double>(threads) *

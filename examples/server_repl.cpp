@@ -22,6 +22,7 @@
 //   apps                   list registered applications
 //   help                   this summary
 //   quit                   exit
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -42,27 +43,15 @@ void print_help() {
       "help | quit\n");
 }
 
-bool parse_id(const std::string& tok, server::SessionId* id) {
-  try {
-    *id = std::stoull(tok);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
 void cmd_open(server::SessionServer& srv,
               const std::vector<std::string>& args) {
   server::SessionSpec spec;
   std::string error;
   for (std::size_t i = 1; i < args.size(); ++i) {
-    const auto eq = args[i].find('=');
-    if (eq == std::string::npos) {
-      std::printf("err expected key=value, got '%s'\n", args[i].c_str());
-      return;
-    }
-    if (!server::apply_kv(spec, args[i].substr(0, eq), args[i].substr(eq + 1),
-                          &error)) {
+    std::string key;
+    std::string value;
+    if (!server::split_kv(args[i], &key, &value, &error) ||
+        !server::apply_kv(spec, key, value, &error)) {
       std::printf("err %s\n", error.c_str());
       return;
     }
@@ -144,9 +133,10 @@ bool handle(server::SessionServer& srv, const std::string& line) {
     cmd_open(srv, args);
     return true;
   }
-  // Everything below addresses a session: <cmd> <id> [...].
+  // Everything below addresses a session: <cmd> <id> [...], its id parsed
+  // by the wire's rule (the whole token, unsigned, no sign).
   server::SessionId id = server::kInvalidSession;
-  if (args.size() < 2 || !parse_id(args[1], &id)) {
+  if (args.size() < 2 || !server::parse_u64_strict(args[1], UINT64_MAX, &id)) {
     std::printf("err usage: %s <id> ...\n", cmd.c_str());
     return true;
   }

@@ -30,7 +30,6 @@ Chip::Chip(sim::Simulator& sim, ChipCoord coord, const ChipConfig& config,
     auto c = std::make_unique<Core>(sim_, CoreId{coord_, i}, clock_,
                                     system_noc_, rng_.next());
     c->set_mc_send([this](const router::Packet& p) { comms_noc_.inject(p); });
-    c->set_p2p_send([this](const router::Packet& p) { comms_noc_.inject(p); });
     cores_.push_back(std::move(c));
   }
 }

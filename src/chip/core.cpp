@@ -56,17 +56,6 @@ void Core::send_mc(RoutingKey key, std::optional<std::uint32_t> payload) {
   if (mc_send_) mc_send_(p);
 }
 
-void Core::send_p2p(P2pAddress dst, std::uint32_t payload) {
-  router::Packet p;
-  p.type = router::PacketType::PointToPoint;
-  p.src = make_p2p_address(id_.chip);
-  p.dst = dst;
-  p.payload = payload;
-  p.launched_at = sim_.now();
-  ++stats_.packets_sent;
-  if (p2p_send_) p2p_send_(p);
-}
-
 void Core::dma_read(std::uint32_t bytes, std::uint64_t cookie) {
   const DmaDone done{bytes, cookie, /*was_write=*/false};
   system_noc_.transfer(bytes, [this, done] { dma_interrupt(done); });

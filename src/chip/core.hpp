@@ -58,8 +58,6 @@ class CoreApi {
   /// Emit a multicast (spike) packet with this core's AER key space.
   virtual void send_mc(RoutingKey key,
                        std::optional<std::uint32_t> payload = std::nullopt) = 0;
-  /// Emit a point-to-point system-management packet.
-  virtual void send_p2p(P2pAddress dst, std::uint32_t payload) = 0;
 
   /// Queue a DMA read of a block of connectivity data.
   virtual void dma_read(std::uint32_t bytes, std::uint64_t cookie) = 0;
@@ -121,14 +119,12 @@ class Core final : public CoreApi {
   };
 
   using McSend = std::function<void(const router::Packet&)>;
-  using P2pSend = std::function<void(const router::Packet&)>;
 
   Core(sim::Simulator& sim, CoreId id, const ClockDomain& clock,
        noc::SystemNoc& system_noc, std::uint64_t seed);
 
   // CoreApi
   void send_mc(RoutingKey key, std::optional<std::uint32_t> payload) override;
-  void send_p2p(P2pAddress dst, std::uint32_t payload) override;
   void dma_read(std::uint32_t bytes, std::uint64_t cookie) override;
   void dma_write(std::uint32_t bytes, std::uint64_t cookie) override;
   TimeNs now() const override { return sim_.now(); }
@@ -136,9 +132,8 @@ class Core final : public CoreApi {
   std::uint32_t timer_tick() const override { return timer_ticks_seen_; }
   Rng& rng() override { return rng_; }
 
-  /// Wire the comms controller's outbound paths.
+  /// Wire the comms controller's outbound path.
   void set_mc_send(McSend send) { mc_send_ = std::move(send); }
-  void set_p2p_send(P2pSend send) { p2p_send_ = std::move(send); }
 
   /// Ordering identity of the owning chip's event tree (set by the chip).
   void set_actor(sim::ActorId actor) { actor_ = actor; }
@@ -214,7 +209,6 @@ class Core final : public CoreApi {
   Rng rng_;
   std::unique_ptr<CoreProgram> program_;
   McSend mc_send_;
-  P2pSend p2p_send_;
 
   CoreState state_ = CoreState::Off;
   bool in_handler_ = false;

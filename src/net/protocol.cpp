@@ -69,20 +69,6 @@ std::vector<std::string> split_fields(const std::string& text, char sep) {
   return fields;
 }
 
-/// A `key=value` option token, split at its first '='.  A token with no
-/// '=' is false, with the error every grammar answers for it in *error.
-bool split_kv(const std::string& token, std::string* key, std::string* value,
-              std::string* error) {
-  const std::size_t eq = token.find('=');
-  if (eq == std::string::npos) {
-    *error = "expected key=value, got '" + token + "'";
-    return false;
-  }
-  *key = token.substr(0, eq);
-  *value = token.substr(eq + 1);
-  return true;
-}
-
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
 // ---- net-grammar scalar helpers --------------------------------------------
@@ -318,7 +304,7 @@ NetParser::Status NetParser::parse_pop(
     std::string key;
     std::string value;
     std::string why;
-    if (!split_kv(tokens[i], &key, &value, &why)) return fail(why);
+    if (!server::split_kv(tokens[i], &key, &value, &why)) return fail(why);
     const auto bad_number = [&]() {
       return fail("'" + key + "' expects a number, got '" + value + "'");
     };
@@ -422,7 +408,7 @@ NetParser::Status NetParser::parse_proj(
     std::string key;
     std::string value;
     std::string why;
-    if (!split_kv(tokens[i], &key, &value, &why)) return fail(why);
+    if (!server::split_kv(tokens[i], &key, &value, &why)) return fail(why);
     if (key == "w") {
       if (!parse_dist_tok(value, &proj.weight)) {
         return fail("'w' expects <v> or <lo>:<hi>, got '" + value + "'");
@@ -711,7 +697,7 @@ void Request::exec_open(const std::vector<std::string>& tokens) {
     }
     std::string key;
     std::string value;
-    if (!split_kv(tokens[i], &key, &value, &error) ||
+    if (!server::split_kv(tokens[i], &key, &value, &error) ||
         !server::apply_kv(spec, key, value, &error)) {
       batch_id_ = server::kInvalidSession;
       fail(error);
@@ -804,7 +790,7 @@ void Request::exec_fault(server::SessionId id,
     std::string key;
     std::string value;
     std::string why;
-    if (!split_kv(tokens[i], &key, &value, &why)) {
+    if (!server::split_kv(tokens[i], &key, &value, &why)) {
       fail(why);
       ++next_line_;
       return;

@@ -101,8 +101,9 @@ const neural::NetworkDescription& app_description(const std::string& name) {
   static const neural::NetworkDescription noise = app_noise();
   static const neural::NetworkDescription stdp = app_stdp();
   if (name == "chain") return chain;
+  if (name == "noise") return noise;
   if (name == "stdp") return stdp;
-  return noise;
+  throw std::invalid_argument("unknown app '" + name + "'");
 }
 
 bool validate(const SessionSpec& spec, std::string* error) {
@@ -258,6 +259,18 @@ bool parse_run_ms(const std::string& text, TimeNs* duration) {
     return false;
   }
   *duration = static_cast<TimeNs>(ms * kMillisecond);
+  return true;
+}
+
+bool split_kv(const std::string& token, std::string* key, std::string* value,
+              std::string* error) {
+  const std::size_t eq = token.find('=');
+  if (eq == std::string::npos) {
+    *error = "expected key=value, got '" + token + "'";
+    return false;
+  }
+  *key = token.substr(0, eq);
+  *value = token.substr(eq + 1);
   return true;
 }
 

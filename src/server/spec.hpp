@@ -68,8 +68,10 @@ bool known_app(const std::string& name);
 
 /// The description a built-in app compiles from — the same declarative
 /// form a wire-submitted net arrives in, so built-in and client-described
-/// sessions share one compilation path (neural::build).  Unknown names
-/// return the "noise" description (build_network's historic fallback).
+/// sessions share one compilation path (neural::build).  Throws
+/// std::invalid_argument for a name that is not a known_app(), so a
+/// mistyped app fails build_network(), run_standalone() and
+/// estimated_synapses() instead of simulating another net.
 const neural::NetworkDescription& app_description(const std::string& name);
 
 /// Validate a spec (dimensions, app name or inline description, and that
@@ -100,8 +102,9 @@ SystemConfig system_config(const SessionSpec& spec);
 /// set, the app's description otherwise — compiled through neural::build
 /// either way.  Pure function of the spec: all stochastic elaboration
 /// (weights, connectivity draws) happens later in the loader under the
-/// machine seed.  Throws std::invalid_argument for a description that does
-/// not validate (sessions surface it as a failed build).
+/// machine seed.  Throws std::invalid_argument for an unknown app or a
+/// description that does not validate (sessions surface it as a failed
+/// build).
 neural::Network build_network(const SessionSpec& spec);
 
 /// Reference run: the spec end-to-end on a private System, no server
@@ -109,6 +112,11 @@ neural::Network build_network(const SessionSpec& spec);
 /// for `duration` must reproduce bit-for-bit.
 std::vector<neural::SpikeRecorder::Event> run_standalone(
     const SessionSpec& spec, TimeNs duration);
+
+/// A `key=value` option token, split at its first '='.  A token with no
+/// '=' is false, with the error every grammar answers for it in *error.
+bool split_kv(const std::string& token, std::string* key, std::string* value,
+              std::string* error);
 
 /// Apply one `key=value` pair from the line protocol (see docs/SERVER.md for
 /// the key reference).  Returns false with a reason in *error for unknown

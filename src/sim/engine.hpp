@@ -60,15 +60,14 @@ class ISimulationEngine {
   virtual TimeNs now() const = 0;
 
   /// Execute the single globally-earliest pending event (sequential merge
-  /// across shards).  Returns false when nothing is pending.  Safe for
-  /// phases whose events touch state across shards (the boot protocol).
+  /// across shards).  Returns false when nothing is pending, after
+  /// advancing every clock to the latest reserved instant (as the reserved
+  /// events would have, had they run).  Safe for phases whose events touch
+  /// state across shards (the boot protocol).
   virtual bool step() = 0;
 
   /// Advance to `until` (events at exactly `until` still run).
   virtual std::uint64_t run_until(TimeNs until) = 0;
-
-  /// Run until every queue drains.
-  virtual std::uint64_t run() = 0;
 
   virtual bool empty() const = 0;
   virtual std::size_t pending() const = 0;
@@ -108,7 +107,6 @@ class SerialEngine final : public ISimulationEngine {
   std::uint64_t run_until(TimeNs until) override {
     return sim_.run_until(until);
   }
-  std::uint64_t run() override { return sim_.run(); }
   bool empty() const override { return sim_.queue().empty(); }
   std::size_t pending() const override { return sim_.queue().pending(); }
   std::uint64_t executed() const override { return sim_.queue().executed(); }

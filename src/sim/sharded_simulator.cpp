@@ -63,6 +63,7 @@ ShardedSimulator::ShardedSimulator(std::uint64_t seed, std::uint32_t shards,
                                    std::uint32_t threads) {
   const std::uint32_t n = resolve_count(shards);
   num_threads_ = std::min(resolve_count(threads), n);
+  worker_executed_.assign(num_threads_, 0);
   shards_.resize(n);
   for (std::uint32_t s = 0; s < n; ++s) {
     // Shard 0 is the root context and must match the serial engine's RNG
@@ -161,7 +162,7 @@ void ShardedSimulator::post_handoff(Simulator& src, TimeNs delay,
   // The key is stamped on the sender's queue (sender actor, sender counter)
   // so it is identical to what the serial engine would have assigned.
   const EventKey key = q.make_handoff_key(when, priority);
-  if (parallel_active_) {
+  if (window_active_) {
     shards_[src.shard_].outbox[dst].push_back(
         Mail{key, exec_actor, std::move(action)});
   } else {
@@ -189,7 +190,7 @@ void ShardedSimulator::reset(std::uint64_t seed) {
   shard_of_actor_.assign(1, 0);
   mapped_actors_ = 1;
   lookahead_ = 0;
-  parallel_active_ = false;
+  window_active_ = false;
   windows_opened_ = 0;
   busiest_worker_events_ = 0;
   {
@@ -242,69 +243,47 @@ void ShardedSimulator::step_shard(std::size_t shard) {
   ctx->queue().step();
 }
 
-std::uint64_t ShardedSimulator::sequential_run_until(TimeNs until) {
-  // A K-way merge over the shard queue heads executes the exact global
-  // (when, priority, actor, seq) order — this *is* the serial reference
-  // schedule, just stored across K heaps.
-  std::uint64_t count = 0;
+std::uint64_t ShardedSimulator::run_until(TimeNs until) {
+  // Each iteration takes the globally-earliest head.  Root-actor events
+  // (boot-controller stragglers, host-side code, or top-level scheduling on
+  // any shard context) may reach across shard boundaries, so they run only
+  // on the merge, which is the serial schedule stored across K heaps.  Every
+  // head strictly below the earliest root event opens a window bounded
+  // (exclusively) at that event's `when`: a far-future probe timer left by
+  // an abandoned boot costs a step at its own time, not the whole span.
+  // This is safe because (a) no window executes an event at or above its
+  // bound, so the root event cannot run in a slice, and (b) any root event a
+  // window creates arrives through a mailbox at >= send + lookahead >= bound
+  // and is re-considered by the next iteration.  A window ends where a
+  // cross-shard send could land; one shard has none, and several shards with
+  // no lookahead have no window at all.
+  const TimeNs width = shards_.size() > 1 ? lookahead_ : kTimeNever;
+  if (width > 0) ensure_workers();
+  std::uint64_t total = 0;
   for (;;) {
     const int best = min_head_shard(until);
     if (best < 0) break;
-    step_shard(static_cast<std::size_t>(best));
-    ++count;
-  }
-  for (auto& s : shards_) s.ctx->queue().run_window(until, true);
-  return count;
-}
-
-std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
-  ensure_workers();
-  std::uint64_t total = 0;
-  for (;;) {
-    // Root-actor events (boot-controller stragglers, host-side code, or
-    // top-level scheduling on any shard context) may reach across shard
-    // boundaries, so they only ever execute on the sequential merge.  But a
-    // *pending* root event no longer blocks parallelism below it: windows
-    // are bounded (exclusively) at the earliest root event's `when`, and the
-    // merge engages only while the global head has actually reached that
-    // instant — a far-future probe timer left by an abandoned boot costs a
-    // couple of sequential steps at its own time, not the whole span.  This
-    // is safe because (a) no window executes an event at or above the bound,
-    // so the root event cannot run on a worker, and (b) any root event a
-    // window *creates* arrives through a mailbox at >= send + lookahead >=
-    // bound and is re-considered at the next iteration's recomputed bound.
-    for (;;) {
-      const TimeNs root_when = earliest_root_when();
-      if (root_when == kTimeNever) break;
-      const int best = min_head_shard(until);
-      if (best < 0) break;  // everything pending (incl. root) is > until
-      if (shards_[static_cast<std::size_t>(best)].ctx->queue().peek_key().when <
-          root_when) {
-        break;  // head strictly below the earliest root event: window-safe
-      }
+    const TimeNs t0 =
+        shards_[static_cast<std::size_t>(best)].ctx->queue().peek_key().when;
+    const TimeNs root_when = earliest_root_when();
+    if (width == 0 || t0 >= root_when) {
       step_shard(static_cast<std::size_t>(best));
       ++total;
+      continue;
     }
-    TimeNs t0 = std::numeric_limits<TimeNs>::max();
-    for (const auto& s : shards_) {
-      const EventQueue& q = s.ctx->queue();
-      if (!q.empty()) t0 = std::min(t0, q.peek_key().when);
-    }
-    if (t0 > until) break;
-    const TimeNs root_when = earliest_root_when();
-    // Final window when the remaining span fits inside the lookahead and no
+    // Final window when the remaining span fits inside the width and no
     // root event interposes: run events at exactly `until` too (run_until is
     // boundary-inclusive).  Any cross-shard send from a window [t0, bound)
     // arrives >= t0 + lookahead >= bound, so it is never needed inside the
     // window that produced it; a tighter root-bounded window is a fortiori
     // safe.
-    const bool final_window = until - t0 < lookahead_ && root_when > until;
+    const bool final_window = until - t0 < width && root_when > until;
     const TimeNs bound =
-        final_window ? until : std::min(t0 + lookahead_, root_when);
+        final_window ? until : t0 + std::min(width, root_when - t0);
     ++windows_opened_;
     window_bound_ = bound;
     window_inclusive_ = final_window;
-    parallel_active_ = true;
+    window_active_ = true;
     // Telemetry: the window span covers release → barrier, the barrier
     // histogram isolates the wait for the other shards after this thread's
     // own slice ran — a hot barrier means shard imbalance, not load.
@@ -313,7 +292,7 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
     run_slice(0, bound, final_window);
     const std::int64_t barrier_t0 = WallClock::now_ns();
     await_workers();
-    parallel_active_ = false;
+    window_active_ = false;
     const std::int64_t barrier_t1 = WallClock::now_ns();
     windows_metric().inc();
     window_hist().observe(barrier_t1 - win_t0);
@@ -346,24 +325,11 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
   return total;
 }
 
-std::uint64_t ShardedSimulator::run_until(TimeNs until) {
-  if (num_threads_ <= 1 || shards_.size() <= 1 || lookahead_ <= 0) {
-    return sequential_run_until(until);
-  }
-  return parallel_run_until(until);
-}
-
-std::uint64_t ShardedSimulator::run() {
-  std::uint64_t count = 0;
-  while (step()) ++count;
-  return count;
-}
-
 void ShardedSimulator::run_slice(std::uint32_t worker, TimeNs bound,
                                  bool inclusive) {
   std::uint64_t executed = 0;
   try {
-    for (std::size_t s = worker; s < shards_.size(); s += pool_threads_) {
+    for (std::size_t s = worker; s < shards_.size(); s += num_threads_) {
       Simulator* ctx = shards_[s].ctx.get();
       const ContextScope running(ctx);
       executed += ctx->queue().run_window(bound, inclusive);
@@ -391,11 +357,8 @@ void ShardedSimulator::drain_mailboxes() {
 
 void ShardedSimulator::ensure_workers() {
   if (!workers_.empty() || num_threads_ <= 1) return;
-  pool_threads_ = std::min<std::uint32_t>(
-      num_threads_, static_cast<std::uint32_t>(shards_.size()));
-  worker_executed_.assign(pool_threads_, 0);
-  workers_.reserve(pool_threads_ - 1);
-  for (std::uint32_t w = 1; w < pool_threads_; ++w) {
+  workers_.reserve(num_threads_ - 1);
+  for (std::uint32_t w = 1; w < num_threads_; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
   }
 }
@@ -409,7 +372,7 @@ void ShardedSimulator::release_window() {
 }
 
 void ShardedSimulator::await_workers() {
-  const std::uint32_t need = pool_threads_ - 1;
+  const std::uint32_t need = num_threads_ - 1;
   while (done_.load(std::memory_order_acquire) != need) {
     std::this_thread::yield();
   }

@@ -8,7 +8,12 @@
 // built on): within a window [T0, T0+W) every shard runs independently,
 // because no cross-shard packet sent inside the window can arrive before
 // T0+W.  Cross-shard deliveries are posted into the destination shard's
-// mailbox and become visible at the next window barrier.
+// mailbox and become visible at the next window barrier.  The window rests
+// on the link latency alone, so it runs at every thread count (one thread
+// runs every shard's slice itself) and at every shard count (one shard has
+// no cross-shard send, so its window spans the whole run).  Only root-actor
+// events, which may reach across shards, and an engine of several shards
+// with no lookahead run on the sequential merge.
 //
 // Determinism: events are ordered by the shard-stable (when, priority,
 // actor, seq) key (see sim/event_queue.hpp).  Mailbox entries carry the key
@@ -49,7 +54,6 @@ class ShardedSimulator final : public ISimulationEngine {
   TimeNs now() const override;
   bool step() override;
   std::uint64_t run_until(TimeNs until) override;
-  std::uint64_t run() override;
   bool empty() const override;
   std::size_t pending() const override;
   std::uint64_t executed() const override;
@@ -58,8 +62,8 @@ class ShardedSimulator final : public ISimulationEngine {
 
   // Sharded-specific --------------------------------------------------------
   /// Route a cross-actor handoff from `src`'s shard (called by
-  /// Simulator::handoff).  Same shard: local insert.  Different shard:
-  /// direct insert when single-threaded, mailbox during parallel windows.
+  /// Simulator::handoff).  Same shard: local insert.  Different shard: the
+  /// destination's mailbox during a window, a direct insert on the merge.
   void post_handoff(Simulator& src, TimeNs delay, ActorId exec_actor,
                     EventAction&& action, EventPriority priority);
 
@@ -68,22 +72,19 @@ class ShardedSimulator final : public ISimulationEngine {
   /// find their shard-local buffer.
   static Simulator* current_context();
 
-  /// Conservative window width currently in force (0 = not yet constrained,
-  /// which forces sequential execution).
+  /// Conservative window width currently in force (0 = not yet constrained:
+  /// several shards then run every event on the merge; one shard needs no
+  /// lookahead).
   TimeNs lookahead() const { return lookahead_; }
 
-  std::uint32_t shard_of_actor(ActorId actor) const {
-    return shard_of_actor_[actor];
-  }
-
-  /// Parallel windows committed so far.  Observability: a run that should
-  /// be parallel but opens zero windows is running on the sequential merge
-  /// (e.g. a pending root-actor event used to force that for whole spans —
-  /// tests/sharded_sim_test.cpp pins the fix with this counter).
+  /// Windows committed so far, at any thread count.  Observability: a run
+  /// that opens none ran every event on the sequential merge (several
+  /// shards with no lookahead, or a span of root-actor events);
+  /// tests/sharded_sim_test.cpp pins when windows open with this counter.
   std::uint64_t windows_opened() const { return windows_opened_; }
 
-  /// The events of each window's busiest worker, summed over the parallel
-  /// windows so far.  Every window waits for its busiest worker, so
+  /// The events of each window's busiest worker, summed over the windows so
+  /// far.  Every window waits for its busiest worker, so
   /// executed() / (threads x this) is the share of the threads' window
   /// time that did work.  A count of the partition, not of the host: it
   /// repeats exactly for a given run.
@@ -110,10 +111,8 @@ class ShardedSimulator final : public ISimulationEngine {
     std::vector<std::vector<Mail>> outbox;
   };
 
-  std::uint64_t sequential_run_until(TimeNs until);
-  std::uint64_t parallel_run_until(TimeNs until);
   /// Earliest pending root-exec event's `when` across every shard's queue
-  /// (kTimeNever if none): the upper bound of any parallel window.
+  /// (kTimeNever if none): the upper bound of any window.
   TimeNs earliest_root_when() const;
   /// Index of the shard holding the globally-earliest event with
   /// when <= limit, or -1.
@@ -132,9 +131,9 @@ class ShardedSimulator final : public ISimulationEngine {
   ActorId mapped_actors_ = 1;
   TimeNs lookahead_ = 0;
 
-  // Worker pool (spawned lazily on the first parallel run).
+  // Worker pool: num_threads_ - 1 workers, spawned on the first window (the
+  // coordinator is slot 0).
   std::uint32_t num_threads_;
-  std::uint32_t pool_threads_ = 0;
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> phase_{0};
   std::atomic<std::uint32_t> done_{0};
@@ -158,7 +157,7 @@ class ShardedSimulator final : public ISimulationEngine {
   // acquire.
   TimeNs window_bound_ = 0;
   bool window_inclusive_ = false;
-  bool parallel_active_ = false;
+  bool window_active_ = false;
   /// Events each worker ran in the current window, written only by that
   /// worker (slot 0: the coordinator) before it checks in.
   std::vector<std::uint64_t> worker_executed_;

@@ -381,7 +381,7 @@ TEST(Core, DrainedRunEndsAtTheHandlerEndOnBothEngines) {
     std::vector<Entry> log;
     chip.core(1).load_program(std::make_unique<StartLog>(&log, 100));
     chip.core(1).start();  // a 625 ns on_start handler; nothing waits
-    EXPECT_EQ(engine->run(), 0u);
+    EXPECT_FALSE(engine->step());
     EXPECT_EQ(engine->now(), 625);
     EXPECT_EQ(engine->root().now(), 625) << "every shard's clock advances";
     EXPECT_EQ(chip.core(1).state(), CoreState::Sleeping);

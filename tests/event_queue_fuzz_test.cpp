@@ -271,7 +271,8 @@ std::vector<std::vector<std::pair<TimeNs, std::uint64_t>>> run_workload(
     }
   }
   if (engine != nullptr) {
-    engine->run();
+    while (engine->step()) {
+    }
   } else {
     serial->run();
   }

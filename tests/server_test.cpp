@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +60,16 @@ TEST(SessionServer, RejectsUnknownAppAndBadDims) {
   bad_dims.width = 0;
   EXPECT_EQ(server.open(bad_dims, &error), kInvalidSession);
   EXPECT_EQ(server.stats().rejected, 2u);
+}
+
+// An unknown app fails loudly outside admission too: an embedded caller's
+// mistyped app must not simulate another net.
+TEST(SessionServer, UnknownAppThrowsOutsideAdmission) {
+  SessionSpec spec;
+  spec.app = "nonexistent";
+  EXPECT_THROW(run_standalone(spec, kMillisecond), std::invalid_argument);
+  EXPECT_THROW(build_network(spec), std::invalid_argument);
+  EXPECT_THROW(estimated_synapses(spec), std::invalid_argument);
 }
 
 TEST(SessionServer, UnknownIdOperationsAreClean) {

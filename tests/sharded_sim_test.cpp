@@ -212,9 +212,9 @@ TEST_P(ShardedEquivalence, BitIdenticalToSerialAt1_2_8Shards) {
 
   for (const std::uint32_t shards : {1u, 2u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    // threads=2 forces the parallel-window path even on 1-core hosts
-    // (thread count is a wall-clock knob only; dedicated tests below
-    // sweep it).
+    // threads=2 splits each window between the coordinator and a worker
+    // (at 2 and 8 shards) even on a 1-core host; thread count is a
+    // wall-clock knob only, and dedicated tests below sweep it.
     const Fingerprint sharded =
         run_case(c, seed, sharded_engine(shards, /*threads=*/2));
     EXPECT_EQ(reference.spikes, sharded.spikes);
@@ -241,15 +241,111 @@ const Case& case_named(const char* name) {
   return kCases[0];
 }
 
-// Thread count is a wall-clock knob, never a results knob.
+// Thread count is a wall-clock knob, never a results knob, and never a
+// windows knob: the link latency bounds a window, so one thread opens the
+// same windows as many and runs every shard's slice of them itself.
 TEST(ShardedEquivalence, ThreadCountDoesNotAffectResults) {
   // scatter_poisson: heaviest cross-shard traffic.
   const Case& c = case_named("scatter_poisson");
-  const Fingerprint one = run_case(c, 7u, sharded_engine(8, 1));
-  const Fingerprint two = run_case(c, 7u, sharded_engine(8, 2));
-  const Fingerprint many = run_case(c, 7u, sharded_engine(8, 0));
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, many);
+  struct Run {
+    Fingerprint fp;
+    std::uint64_t windows = 0, busiest = 0, executed = 0;
+  };
+  const auto run = [&](std::uint32_t threads) {
+    System sys(make_config(c, 7u, sharded_engine(8, threads)));
+    c.scenario(sys);
+    const auto& engine =
+        dynamic_cast<const sim::ShardedSimulator&>(sys.engine());
+    return Run{fingerprint(sys), engine.windows_opened(),
+               engine.busiest_worker_events(), engine.executed()};
+  };
+  const Run one = run(1);
+  const Run two = run(2);
+  const Run many = run(0);
+  EXPECT_EQ(one.fp, two.fp);
+  EXPECT_EQ(one.fp, many.fp);
+  EXPECT_GT(one.windows, 0u) << "one thread ran the span on the merge";
+  EXPECT_EQ(one.windows, two.windows);
+  EXPECT_EQ(one.windows, many.windows);
+  EXPECT_EQ(one.busiest, one.executed)
+      << "one thread is every window's busiest worker";
+}
+
+// One shard has no cross-shard send to bound a window, so while no root
+// event is pending each System::run span runs in a single window, and the
+// run stays bit-identical to serial.
+TEST(ShardedEquivalence, OneShardRunsASpanInOneWindow) {
+  const Case& c = case_named("scatter_poisson");
+  const auto drive = [&](System& sys) {
+    c.scenario(sys);  // load, then one System::run
+    sys.run(10 * kMillisecond);
+    sys.run(10 * kMillisecond);
+  };
+
+  System serial(make_config(c, 3u, serial_engine()));
+  drive(serial);
+  const Fingerprint reference = fingerprint(serial);
+  ASSERT_FALSE(reference.spikes.empty());
+
+  System sharded(make_config(c, 3u, sharded_engine(1)));
+  drive(sharded);
+  EXPECT_EQ(reference, fingerprint(sharded));
+  const auto& engine =
+      dynamic_cast<const sim::ShardedSimulator&>(sharded.engine());
+  EXPECT_EQ(engine.windows_opened(), 3u);
+  EXPECT_EQ(engine.busiest_worker_events(), engine.executed());
+}
+
+// Several shards with no lookahead have no window: a cross-shard send may
+// land at its own instant.  Every event runs on the merge, in the order a
+// standalone Simulator runs the same events.
+TEST(ShardedEquivalence, UnconstrainedShardsRunOnTheMerge) {
+  using Log = std::vector<std::pair<TimeNs, sim::ActorId>>;
+  struct Node {
+    sim::Simulator* ctx = nullptr;
+    sim::ActorId id = 0;
+    Node* peer = nullptr;
+    Log* log = nullptr;
+    // Hand a hit to the peer 0-2 ns later, and log a local echo 1 ns later
+    // (same-instant ties with the peer's events included).
+    void hit(int left) {
+      log->emplace_back(ctx->now(), id);
+      if (left == 0) return;
+      Node* to = peer;
+      ctx->handoff(left % 3, to->id, [to, left] { to->hit(left - 1); });
+      ctx->after(1, [this] { log->emplace_back(ctx->now(), id); });
+    }
+  };
+  // Two actors trading 40 hits from t = 5 ns, run to 1 us.
+  const auto ping_pong = [](sim::Simulator& a, sim::Simulator& b,
+                            const auto& run_until) {
+    Log log;
+    Node nodes[2] = {{&a, 1, nullptr, &log}, {&b, 2, nullptr, &log}};
+    nodes[0].peer = &nodes[1];
+    nodes[1].peer = &nodes[0];
+    for (Node& n : nodes) {
+      Node* self = &n;
+      n.ctx->at_as(5, n.id, [self] { self->hit(40); });
+    }
+    run_until(TimeNs{1000});
+    return log;
+  };
+
+  sim::Simulator standalone(1);
+  const Log reference = ping_pong(
+      standalone, standalone, [&](TimeNs t) { standalone.run_until(t); });
+  ASSERT_GT(reference.size(), 80u);
+
+  sim::ShardedSimulator engine(1, /*shards=*/2, /*threads=*/2);
+  engine.map_actors(3);  // actor 1 on shard 0, actor 2 on shard 1
+  ASSERT_NE(engine.context_of(1).shard(), engine.context_of(2).shard());
+  const Log log =
+      ping_pong(engine.context_of(1), engine.context_of(2),
+                [&](TimeNs t) { engine.run_until(t); });
+  EXPECT_EQ(engine.lookahead(), 0);
+  EXPECT_EQ(engine.windows_opened(), 0u);
+  EXPECT_EQ(log, reference);
+  EXPECT_EQ(engine.executed(), standalone.queue().executed());
 }
 
 // The balance counts a shard-balance change claims on: the events of each

@@ -11,9 +11,13 @@ repo-wide discipline whose rationale lives where the discipline does:
                       std::unique_lock / std::scoped_lock outside
                       src/common/thread_annotations.hpp — use spinn::Mutex,
                       spinn::CondVar, spinn::MutexLock.
-  raw-int-parse       Wire-side integers (src/net, src/server) parse through
-                      parse_u64_strict / from_chars-based helpers, never the
-                      saturate-and-succeed strto*/ato*/sto* family.
+  raw-int-parse       Wire-side integers (src/net, src/server) and the ids and
+                      options the examples' transports read (examples/, e.g.
+                      server_repl) parse through parse_u64_strict /
+                      from_chars-based helpers, never the
+                      saturate-and-succeed strto*/ato*/sto* family.  bench/
+                      is out of scope: it parses only its own command-line
+                      flags.
   reactor-blocking    Nothing inside a reactor event-loop body — any
                       NetServer::*loop*() / Reactor::*loop*() definition in
                       the reactor files — may block (sleeps, joins, session
@@ -279,8 +283,8 @@ def scan_file(rel_path, raw_text):
                     f"{m.group(0)} outside {WRAPPER_HEADER}; use "
                     "spinn::Mutex / spinn::CondVar / spinn::MutexLock")
 
-    # raw-int-parse: wire-side code only.
-    if rel_path.startswith("src/net/") or rel_path.startswith("src/server/"):
+    # raw-int-parse: wire-side code, and the examples' transports.
+    if rel_path.startswith(("src/net/", "src/server/", "examples/")):
         for lineno, line in enumerate(code_lines, start=1):
             m = RAW_INT_PARSE.search(line)
             if m:
