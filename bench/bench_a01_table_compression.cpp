@@ -11,7 +11,8 @@
 #include "harness.hpp"
 #include "map/routing_gen.hpp"
 #include "mesh/machine.hpp"
-#include "sim/simulator.hpp"
+#include "net/client.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
@@ -25,30 +26,31 @@ struct Row {
 };
 
 Row measure(int populations, bool compress, bool minimize) {
-  sim::Simulator sim(9);
+  sim::SerialEngine engine(9);
   mesh::MachineConfig mc;
   mc.width = 12;
   mc.height = 12;
   mc.chip.num_cores = 3;
-  mesh::Machine m(sim, mc);
+  mesh::Machine m(engine, mc);
 
-  neural::Network net;
-  std::vector<neural::PopulationId> pops;
-  for (int i = 0; i < populations; ++i) {
-    std::string name = "p";
-    name += std::to_string(i);
-    pops.push_back(net.add_lif(name, 256));
-  }
+  const auto name = [](int i) {
+    std::string n = "p";
+    n += std::to_string(i);
+    return n;
+  };
+  net::NetBuilder b;
+  for (int i = 0; i < populations; ++i) b.lif(name(i), 256);
   // A ring of projections plus some chords: every population both sends
   // and receives, paths cross the machine.
   for (int i = 0; i < populations; ++i) {
-    net.connect(pops[i], pops[(i + 1) % populations],
-                neural::Connector::fixed_probability(0.02),
-                neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
-    net.connect(pops[i], pops[(i + populations / 3 + 1) % populations],
-                neural::Connector::fixed_probability(0.02),
-                neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+    b.project(name(i), name((i + 1) % populations),
+              neural::Connector::fixed_probability(0.02),
+              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+    b.project(name(i), name((i + populations / 3 + 1) % populations),
+              neural::Connector::fixed_probability(0.02),
+              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
   }
+  const neural::Network net = bench::compile(b.description());
 
   map::MapperConfig cfg;
   cfg.neurons_per_core = 128;

@@ -13,6 +13,7 @@
 
 #include "core/system.hpp"
 #include "harness.hpp"
+#include "net/client.hpp"
 
 namespace {
 
@@ -38,19 +39,19 @@ Outcome run(bool scatter) {
   cfg.mapper.scatter = scatter;
   System sys(cfg);
 
-  neural::Network net;
-  const auto input = net.add_poisson("input", 256, 30.0);
-  const auto l1 = net.add_lif("l1", 512);
-  const auto l2 = net.add_lif("l2", 512);
-  const auto out = net.add_lif("out", 128);
-  net.connect(input, l1, neural::Connector::fixed_probability(0.05),
-              neural::ValueDist::fixed(3.0), neural::ValueDist::fixed(1.0));
-  net.connect(l1, l2, neural::Connector::fixed_probability(0.03),
-              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(2.0));
-  net.connect(l2, out, neural::Connector::fixed_probability(0.05),
-              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  net::NetBuilder b;
+  b.poisson("input", 256, 30.0);
+  b.lif("l1", 512);
+  b.lif("l2", 512);
+  b.lif("out", 128);
+  b.project("input", "l1", neural::Connector::fixed_probability(0.05),
+            neural::ValueDist::fixed(3.0), neural::ValueDist::fixed(1.0));
+  b.project("l1", "l2", neural::Connector::fixed_probability(0.03),
+            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(2.0));
+  b.project("l2", "out", neural::Connector::fixed_probability(0.05),
+            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
 
-  const auto report = sys.load(net);
+  const auto report = sys.load(bench::compile(b.description()));
   if (!report.ok) return Outcome{};
   sys.run(200 * kMillisecond);
 

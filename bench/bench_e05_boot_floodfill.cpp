@@ -12,6 +12,7 @@
 #include "boot/boot_controller.hpp"
 #include "harness.hpp"
 #include "mesh/machine.hpp"
+#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -25,13 +26,14 @@ struct Result {
 
 Result run_boot(std::uint16_t dim, const boot::BootConfig& bc,
                 std::uint64_t seed = 1) {
-  sim::Simulator sim(seed);
+  sim::SerialEngine engine(seed);
   mesh::MachineConfig mc;
   mc.width = dim;
   mc.height = dim;
   mc.chip.num_cores = 2;  // boot exercises monitors, not app cores
   mc.seed = seed;
-  mesh::Machine machine(sim, mc);
+  mesh::Machine machine(engine, mc);
+  sim::Simulator& sim = engine.root();
   boot::BootController controller(sim, machine, bc);
   Result r;
   controller.start([&](const boot::BootReport& rep) {

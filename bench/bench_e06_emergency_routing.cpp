@@ -17,6 +17,7 @@
 #include "core/traffic.hpp"
 #include "harness.hpp"
 #include "mesh/machine.hpp"
+#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -35,14 +36,15 @@ struct RunResult {
 
 RunResult run_case(bool emergency_enabled, bool monitor_reroutes,
                    double packets_per_tick) {
-  sim::Simulator sim(11);
+  sim::SerialEngine engine(11);
   mesh::MachineConfig mc;
   mc.width = 8;
   mc.height = 8;
   mc.chip.num_cores = 2;
   mc.chip.clock_drift_ppm_sigma = 0.0;
   mc.chip.router.emergency_routing_enabled = emergency_enabled;
-  mesh::Machine m(sim, mc);
+  mesh::Machine m(engine, mc);
+  sim::Simulator& sim = engine.root();
 
   // Path: (2,3) -> E -> (3,3) -> E -> (4,3) -> E -> (5,3), delivered there.
   const RoutingKey key = 0x40;

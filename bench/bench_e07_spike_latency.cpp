@@ -16,6 +16,7 @@
 #include "core/traffic.hpp"
 #include "harness.hpp"
 #include "mesh/machine.hpp"
+#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -35,8 +36,9 @@ mesh::MachineConfig machine_config(std::uint16_t dim) {
 void measure_distance(std::uint16_t dim, int hops, double packets_per_tick,
                       double* mean_us, double* p99_us, double* max_us,
                       std::uint64_t* delivered) {
-  sim::Simulator sim(3);
-  mesh::Machine m(sim, machine_config(dim));
+  sim::SerialEngine engine(3);
+  mesh::Machine m(engine, machine_config(dim));
+  sim::Simulator& sim = engine.root();
   const RoutingKey key = 0x10;
   const ChipCoord src{0, 0};
   const ChipCoord dst{static_cast<std::uint16_t>(hops % dim), 0};

@@ -17,7 +17,8 @@
 #include "harness.hpp"
 #include "map/routing_gen.hpp"
 #include "mesh/machine.hpp"
-#include "sim/simulator.hpp"
+#include "net/client.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
@@ -32,23 +33,23 @@ struct TrafficCounts {
 /// Count per-spike link traversals for a network mapped on a dim x dim
 /// machine where each source slice projects to `fanout_pops` populations.
 TrafficCounts count_traffic(std::uint16_t dim, int fanout_pops) {
-  sim::Simulator sim(5);
+  sim::SerialEngine engine(5);
   mesh::MachineConfig mc;
   mc.width = dim;
   mc.height = dim;
   mc.chip.num_cores = 3;  // 2 app cores per chip
-  mesh::Machine m(sim, mc);
+  mesh::Machine m(engine, mc);
 
-  neural::Network net;
-  const auto src = net.add_poisson("src", 512, 10.0);
-  std::vector<neural::PopulationId> dests;
+  net::NetBuilder b;
+  b.poisson("src", 512, 10.0);
+  constexpr neural::PopulationId src = 0;
   for (int i = 0; i < fanout_pops; ++i) {
-    dests.push_back(net.add_lif("dst" + std::to_string(i), 512));
+    const std::string dst = "dst" + std::to_string(i);
+    b.lif(dst, 512);
+    b.project("src", dst, neural::Connector::fixed_probability(0.05),
+              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
   }
-  for (const auto d : dests) {
-    net.connect(src, d, neural::Connector::fixed_probability(0.05),
-                neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
-  }
+  const neural::Network net = bench::compile(b.description());
 
   map::MapperConfig cfg;
   cfg.neurons_per_core = 128;

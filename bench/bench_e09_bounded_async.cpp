@@ -16,6 +16,7 @@
 #include "chip/core.hpp"
 #include "harness.hpp"
 #include "mesh/machine.hpp"
+#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -49,13 +50,14 @@ int main(int argc, char** argv) {
                 "(ppm, max-min)", "(us per second)", "(ticks apart)");
 
     for (const double sigma : {0.0, 20.0, 50.0, 100.0}) {
-      sim::Simulator sim(17);
+      sim::SerialEngine engine(17);
       mesh::MachineConfig mc;
       mc.width = 4;
       mc.height = 4;
       mc.chip.num_cores = 2;
       mc.chip.clock_drift_ppm_sigma = sigma;
-      mesh::Machine m(sim, mc);
+      mesh::Machine m(engine, mc);
+      sim::Simulator& sim = engine.root();
 
       std::vector<std::vector<TimeNs>> logs(m.num_chips());
       for (std::size_t i = 0; i < m.num_chips(); ++i) {

@@ -15,6 +15,7 @@
 #include "core/system.hpp"
 #include "energy/cost_model.hpp"
 #include "harness.hpp"
+#include "net/client.hpp"
 
 namespace {
 
@@ -39,12 +40,13 @@ CapacityPoint run_point(std::uint32_t neurons, double input_rate_hz,
   cfg.mapper.neurons_per_core = 1u << kNeuronKeyBits;
   System sys(cfg);
 
-  neural::Network net;
-  const auto src = net.add_poisson("drive", neurons, input_rate_hz);
-  const auto dst = net.add_lif("cells", neurons);
-  net.connect(src, dst, neural::Connector::fixed_probability(connect_prob),
-              neural::ValueDist::fixed(0.8), neural::ValueDist::fixed(1.0));
-  const auto report = sys.load(net);
+  net::NetBuilder b;
+  b.poisson("drive", neurons, input_rate_hz);
+  b.lif("cells", neurons);
+  b.project("drive", "cells",
+            neural::Connector::fixed_probability(connect_prob),
+            neural::ValueDist::fixed(0.8), neural::ValueDist::fixed(1.0));
+  const auto report = sys.load(bench::compile(b.description()));
   if (!report.ok) return CapacityPoint{neurons, 0.0, ~0ull, 0};
   sys.run(200 * kMillisecond);
 

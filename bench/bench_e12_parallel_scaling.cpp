@@ -76,18 +76,18 @@ struct RunResult {
 
 RunResult run_scenario(const sim::EngineConfig& engine) {
   System sys(scenario_config(engine));
-  neural::Network net;
   // ~18k LIF neurons driven by 6k Poisson sources, sparse random fan-out:
   // the per-tick neuron updates are the parallel compute, the spike traffic
   // is the cross-shard communication.
-  const auto noise = net.add_poisson("noise", 6000, 30.0);
-  const auto exc = net.add_lif("exc", 18000);
-  net.connect(noise, exc, neural::Connector::fixed_probability(0.0045),
-              neural::ValueDist::uniform(4.0, 8.0),
-              neural::ValueDist::fixed(1.0));
-  net.connect(exc, exc, neural::Connector::fixed_probability(0.0005),
-              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
-  if (!sys.load(net).ok) return {};
+  net::NetBuilder b;
+  b.poisson("noise", 6000, 30.0);
+  b.lif("exc", 18000);
+  b.project("noise", "exc", neural::Connector::fixed_probability(0.0045),
+            neural::ValueDist::uniform(4.0, 8.0),
+            neural::ValueDist::fixed(1.0));
+  b.project("exc", "exc", neural::Connector::fixed_probability(0.0005),
+            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  if (!sys.load(bench::compile(b.description())).ok) return {};
   sys.run(kRunTime);
   return RunResult{sys.spikes().count(), sys.engine().executed()};
 }

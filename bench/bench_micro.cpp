@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "common/rng_stream.hpp"
 #include "core/system.hpp"
+#include "harness.hpp"
 #include "link/codes.hpp"
 #include "mesh/topology.hpp"
 #include "net/client.hpp"
@@ -169,9 +170,7 @@ neural::Network longrun_net() {
   b.project("exc", "izh", neural::Connector::fixed_probability(0.005), w, d);
   b.project("izh", "exc", neural::Connector::fixed_probability(0.005), w, d,
             /*inhibitory=*/true);
-  neural::Network net;
-  neural::build(b.description(), &net, nullptr);
-  return net;
+  return bench::compile(b.description());
 }
 
 /// One System::load of the longrun net: placement, routing, the

@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "neural/network.hpp"
+
 namespace spinn::bench {
 
 // Percentiles live in sim/stats.hpp (spinn::sim::percentile); benches that
@@ -233,5 +235,17 @@ class Harness {
   std::vector<Section> sections_;
   std::vector<Metric> metrics_;
 };
+
+/// A bench's network: its description compiled by neural::build.  A
+/// description that does not validate ends the bench with exit code 1.
+inline neural::Network compile(const neural::NetworkDescription& desc) {
+  neural::Network net;
+  std::string error;
+  if (!neural::build(desc, &net, &error)) {
+    std::fprintf(stderr, "invalid network: %s\n", error.c_str());
+    std::exit(1);
+  }
+  return net;
+}
 
 }  // namespace spinn::bench

@@ -12,12 +12,13 @@
 int main() {
   using namespace spinn;
 
-  sim::Simulator sim(21);
+  sim::SerialEngine engine(21);
   mesh::MachineConfig mc;
   mc.width = 8;
   mc.height = 8;
   mc.chip.num_cores = 18;
-  mesh::Machine machine(sim, mc);
+  mesh::Machine machine(engine, mc);
+  sim::Simulator& sim = engine.root();
 
   // One chip is permanently dead; another has every core transiently
   // failing self-test (rescuable by its neighbours).

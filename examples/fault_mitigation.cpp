@@ -7,6 +7,7 @@
 //
 //   $ ./fault_mitigation
 #include <cstdio>
+#include <string>
 
 #include "core/spinnaker.hpp"
 #include "map/migration.hpp"
@@ -21,12 +22,18 @@ int main() {
   cfg.mapper.neurons_per_core = 64;
   System sys(cfg);
 
+  net::NetBuilder b;
+  b.poisson("drive", 64, 40.0);
+  b.lif("cells", 64);
+  b.project("drive", "cells", neural::Connector::fixed_probability(0.3),
+            neural::ValueDist::fixed(3.0), neural::ValueDist::fixed(1.0));
+  constexpr neural::PopulationId cells = 1;
   neural::Network net;
-  const auto drive = net.add_poisson("drive", 64, 40.0);
-  const auto cells = net.add_lif("cells", 64);
-  net.population(cells).record = true;
-  net.connect(drive, cells, neural::Connector::fixed_probability(0.3),
-              neural::ValueDist::fixed(3.0), neural::ValueDist::fixed(1.0));
+  std::string error;
+  if (!neural::build(b.description(), &net, &error)) {
+    std::printf("invalid network: %s\n", error.c_str());
+    return 1;
+  }
   auto report = sys.load(net);
   if (!report.ok) {
     std::printf("load failed: %s\n", report.error.c_str());

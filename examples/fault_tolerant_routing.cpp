@@ -11,12 +11,13 @@
 int main() {
   using namespace spinn;
 
-  sim::Simulator sim(3);
+  sim::SerialEngine engine(3);
   mesh::MachineConfig mc;
   mc.width = 8;
   mc.height = 8;
   mc.chip.num_cores = 2;
-  mesh::Machine machine(sim, mc);
+  mesh::Machine machine(engine, mc);
+  sim::Simulator& sim = engine.root();
 
   // Stream: (1,4) -> East -> ... -> (6,4), delivered to core 1 there.
   const RoutingKey key = 0x80;

@@ -6,6 +6,7 @@
 //
 // This walks the whole public API surface in ~60 lines of user code.
 #include <cstdio>
+#include <string>
 
 #include "core/spinnaker.hpp"
 
@@ -27,20 +28,29 @@ int main() {
               boot.chips_alive,
               static_cast<double>(boot.load_done) / kMillisecond);
 
-  // --- 3. Describe a network, PyNN-style. ----------------------------------
+  // --- 3. Describe a network, PyNN-style, and compile it. -----------------
+  net::NetBuilder b;
+  b.poisson("noise", 100, 40.0);  // 100 x 40 Hz
+  b.lif("exc", 200);
+  b.lif("inh", 50);
+  b.project("noise", "exc", neural::Connector::fixed_probability(0.2),
+            neural::ValueDist::uniform(4.0, 8.0),
+            neural::ValueDist::fixed(1.0));
+  b.project("exc", "inh", neural::Connector::fixed_probability(0.1),
+            neural::ValueDist::fixed(3.0),
+            neural::ValueDist::uniform(1.0, 4.0));
+  b.project("inh", "exc", neural::Connector::fixed_probability(0.1),
+            neural::ValueDist::fixed(6.0), neural::ValueDist::fixed(1.0),
+            /*inhibitory=*/true);
+  // A population's id is its position in the description.
+  constexpr neural::PopulationId exc = 1;
+  constexpr neural::PopulationId inh = 2;
   neural::Network net;
-  const auto noise = net.add_poisson("noise", 100, 40.0);   // 100 x 40 Hz
-  const auto exc = net.add_lif("exc", 200);
-  const auto inh = net.add_lif("inh", 50);
-  net.connect(noise, exc, neural::Connector::fixed_probability(0.2),
-              neural::ValueDist::uniform(4.0, 8.0),
-              neural::ValueDist::fixed(1.0));
-  net.connect(exc, inh, neural::Connector::fixed_probability(0.1),
-              neural::ValueDist::fixed(3.0),
-              neural::ValueDist::uniform(1.0, 4.0));
-  net.connect(inh, exc, neural::Connector::fixed_probability(0.1),
-              neural::ValueDist::fixed(6.0), neural::ValueDist::fixed(1.0),
-              /*inhibitory=*/true);
+  std::string error;
+  if (!neural::build(b.description(), &net, &error)) {
+    std::printf("invalid network: %s\n", error.c_str());
+    return 1;
+  }
 
   // --- 4. Place, route and load it onto the machine. -----------------------
   const map::LoadReport load = sys.load(net);

@@ -9,6 +9,7 @@
 //   $ ./retina_rank_order
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/spinnaker.hpp"
@@ -36,12 +37,19 @@ std::vector<neural::RetinaSpike> run_on_machine(
     const auto tick = static_cast<std::uint32_t>(1.0 + s.latency_ms);
     schedule[s.ganglion].push_back(tick);
   }
-  neural::Network net;
-  const auto pop = net.add_spike_source("retina", schedule);
+  net::NetBuilder b;
+  b.spike_source("retina", schedule);
   // A collector population so the volley actually crosses the fabric.
-  const auto collector = net.add_lif("collector", 64);
-  net.connect(pop, collector, neural::Connector::fixed_probability(0.05),
-              neural::ValueDist::fixed(0.5), neural::ValueDist::fixed(1.0));
+  b.lif("collector", 64);
+  b.project("retina", "collector", neural::Connector::fixed_probability(0.05),
+            neural::ValueDist::fixed(0.5), neural::ValueDist::fixed(1.0));
+  constexpr neural::PopulationId pop = 0;
+  neural::Network net;
+  std::string error;
+  if (!neural::build(b.description(), &net, &error)) {
+    std::printf("invalid network: %s\n", error.c_str());
+    return {};
+  }
 
   const auto load = sys.load(net);
   if (!load.ok) return {};

@@ -7,7 +7,8 @@
 //   cfg.engine.kind = sim::EngineKind::Sharded;   // optional: parallel run
 //   spinn::System sys(cfg);
 //   sys.boot();
-//   neural::Network net;  ...populations/projections...
+//   neural::Network net;
+//   neural::build(desc, &net, &error);   // desc: a NetworkDescription
 //   sys.load(net);
 //   sys.run(100 * kMillisecond);
 //   for (auto& e : sys.spikes().events()) ...

@@ -4,33 +4,21 @@
 
 namespace spinn::mesh {
 
-Machine::Machine(sim::Simulator& sim, const MachineConfig& config)
-    : Machine(nullptr, &sim, config) {}
-
 Machine::Machine(sim::ISimulationEngine& engine, const MachineConfig& config)
-    : Machine(&engine, nullptr, config) {}
-
-Machine::Machine(sim::ISimulationEngine* engine, sim::Simulator* sim,
-                 const MachineConfig& config)
     : topo_(config.width, config.height) {
   const std::size_t n = topo_.num_chips();
-  if (engine != nullptr) {
-    engine->map_actors(static_cast<sim::ActorId>(n + 1));
-    root_ctx_ = &engine->root();
-    // The conservative parallel window: no cross-shard packet can arrive
-    // sooner than one link flight after it left the far router.
-    engine->constrain_lookahead(config.chip.router.port.flight_ns);
-  } else {
-    root_ctx_ = sim;
-  }
+  engine.map_actors(static_cast<sim::ActorId>(n + 1));
+  root_ctx_ = &engine.root();
+  // The conservative parallel window: no cross-shard packet can arrive
+  // sooner than one link flight after it left the far router.
+  engine.constrain_lookahead(config.chip.router.port.flight_ns);
 
   Rng seed_source(config.seed);
   ctx_.reserve(n);
   chips_.reserve(n);
   dead_.assign(n, false);
   for (std::size_t i = 0; i < n; ++i) {
-    sim::Simulator* ctx =
-        engine != nullptr ? &engine->context_of(actor_of(i)) : sim;
+    sim::Simulator* ctx = &engine.context_of(actor_of(i));
     ctx_.push_back(ctx);
     chips_.push_back(std::make_unique<chip::Chip>(
         *ctx, topo_.coord_of(i), config.chip, seed_source));

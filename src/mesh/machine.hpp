@@ -27,13 +27,10 @@ struct MachineConfig {
 
 class Machine {
  public:
-  /// Serial construction: every chip schedules against the one `sim`.
-  Machine(sim::Simulator& sim, const MachineConfig& config);
-
-  /// Engine-aware construction: the engine partitions chips across shards
-  /// (chip i is actor i+1); each chip receives its shard's context and
-  /// cross-shard link traffic rides the engine's mailboxes.  Works with the
-  /// serial engine too (everything collapses onto one context).
+  /// The engine partitions chips across shards (chip i is actor i+1); each
+  /// chip receives its shard's context and cross-shard link traffic rides
+  /// the engine's mailboxes.  On a SerialEngine every chip shares its one
+  /// Simulator.
   Machine(sim::ISimulationEngine& engine, const MachineConfig& config);
 
   Machine(const Machine&) = delete;
@@ -84,15 +81,13 @@ class Machine {
   void stop_all_timers();
 
  private:
-  Machine(sim::ISimulationEngine* engine, sim::Simulator* sim,
-          const MachineConfig& config);
   void wire_links();
   /// A packet leaves on inter-chip link `link` / lands at its far end.
   void depart(std::size_t link, const router::Packet& p);
   void arrive(std::size_t link, const router::Packet& p);
 
   Topology topo_;
-  /// Per-chip scheduling context (all identical under serial construction).
+  /// Per-chip scheduling context (all identical on a SerialEngine).
   std::vector<sim::Simulator*> ctx_;
   sim::Simulator* root_ctx_ = nullptr;
   std::vector<std::unique_ptr<chip::Chip>> chips_;

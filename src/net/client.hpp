@@ -35,13 +35,13 @@
 
 namespace spinn::net {
 
-/// Typed builder for wire-submitted networks: the client-side mirror of
-/// neural::Network's convenience builders, accumulating a
-/// NetworkDescription and emitting its canonical `net ... end` block for a
-/// batch frame.  Because the server compiles the parsed description
-/// through the same neural::build as an embedded caller would, a net
-/// submitted from here is bit-identical to building description() locally
-/// (tests/net_description_test.cpp pins this).
+/// Typed builder for network descriptions: it accumulates a
+/// NetworkDescription, which neural::build compiles into a Network, and
+/// emits its canonical `net ... end` block for a batch frame.  Because the
+/// server compiles the parsed description through the same neural::build
+/// as an embedded caller would, a net submitted from here is bit-identical
+/// to building description() locally (tests/net_description_test.cpp pins
+/// this).
 ///
 ///   NetBuilder b;
 ///   b.poisson("noise", 32, 40.0);

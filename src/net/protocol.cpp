@@ -104,18 +104,6 @@ bool parse_dist_tok(const std::string& text, neural::ValueDist* out) {
   return true;
 }
 
-bool parse_bool_tok(const std::string& text, bool* out) {
-  if (text == "1") {
-    *out = true;
-    return true;
-  }
-  if (text == "0") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 /// `t,t,...;t;...` — one `;`-separated group per neuron, ticks `,`-joined.
 bool parse_schedule_tok(const std::string& text,
                         std::vector<std::vector<std::uint32_t>>* out,
@@ -313,8 +301,8 @@ NetParser::Status NetParser::parse_pop(
     const bool is_lif = pd.model == neural::NeuronModel::Lif;
     const bool is_izh = pd.model == neural::NeuronModel::Izhikevich;
     if (key == "record") {
-      if (!parse_bool_tok(value, &pd.record)) {
-        return fail("'record' expects 0 or 1, got '" + value + "'");
+      if (!server::parse_bool(value, &pd.record)) {
+        return fail("'record' expects a boolean, got '" + value + "'");
       }
     } else if (is_lif && key == "v_rest") {
       if (!parse_f64_tok(value, &pd.v_rest)) return bad_number();
@@ -418,8 +406,8 @@ NetParser::Status NetParser::parse_proj(
         return fail("'d' expects <v> or <lo>:<hi>, got '" + value + "'");
       }
     } else if (key == "inh") {
-      if (!parse_bool_tok(value, &proj.inhibitory)) {
-        return fail("'inh' expects 0 or 1, got '" + value + "'");
+      if (!server::parse_bool(value, &proj.inhibitory)) {
+        return fail("'inh' expects a boolean, got '" + value + "'");
       }
     } else if (key == "self") {
       if (proj.connector.kind == neural::ConnectorKind::OneToOne) {
@@ -427,8 +415,8 @@ NetParser::Status NetParser::parse_proj(
         // the key would silently mean nothing.
         return fail("'self' does not apply to the one connector");
       }
-      if (!parse_bool_tok(value, &proj.connector.allow_self)) {
-        return fail("'self' expects 0 or 1, got '" + value + "'");
+      if (!server::parse_bool(value, &proj.connector.allow_self)) {
+        return fail("'self' expects a boolean, got '" + value + "'");
       }
     } else if (key == "stdp") {
       // a_plus,a_minus,window_ticks,w_max — presence enables plasticity.
@@ -822,8 +810,8 @@ void Request::exec_fault(server::SessionId id,
         return;
       }
     } else if (is_glitch && key == "conv") {
-      if (!parse_bool_tok(value, &action.conventional)) {
-        fail("'conv' expects 0 or 1, got '" + value + "'");
+      if (!server::parse_bool(value, &action.conventional)) {
+        fail("'conv' expects a boolean, got '" + value + "'");
         ++next_line_;
         return;
       }

@@ -7,72 +7,6 @@
 
 namespace spinn::neural {
 
-PopulationId Network::add_population(Population p) {
-  p.id = static_cast<PopulationId>(populations_.size());
-  populations_.push_back(std::move(p));
-  return populations_.back().id;
-}
-
-PopulationId Network::add_lif(const std::string& name, std::uint32_t size,
-                              const LifParams& params, bool record) {
-  Population p;
-  p.name = name;
-  p.size = size;
-  p.model = NeuronModel::Lif;
-  p.lif = params;
-  p.record = record;
-  return add_population(std::move(p));
-}
-
-PopulationId Network::add_poisson(const std::string& name, std::uint32_t size,
-                                  double rate_hz) {
-  Population p;
-  p.name = name;
-  p.size = size;
-  p.model = NeuronModel::PoissonSource;
-  p.poisson_rate_hz = rate_hz;
-  return add_population(std::move(p));
-}
-
-PopulationId Network::add_spike_source(
-    const std::string& name,
-    std::vector<std::vector<std::uint32_t>> schedule) {
-  Population p;
-  p.name = name;
-  p.size = static_cast<std::uint32_t>(schedule.size());
-  p.model = NeuronModel::SpikeSourceArray;
-  p.spike_schedule = std::move(schedule);
-  p.record = true;  // replayed trains are usually the experiment's stimulus
-  return add_population(std::move(p));
-}
-
-void Network::connect(PopulationId pre, PopulationId post,
-                      Connector connector, ValueDist weight,
-                      ValueDist delay_ms, bool inhibitory) {
-  Projection proj;
-  proj.pre = pre;
-  proj.post = post;
-  proj.connector = connector;
-  proj.weight = weight;
-  proj.delay_ms = delay_ms;
-  proj.inhibitory = inhibitory;
-  projections_.push_back(proj);
-}
-
-void Network::connect_plastic(PopulationId pre, PopulationId post,
-                              Connector connector, ValueDist weight,
-                              ValueDist delay_ms, const StdpParams& stdp) {
-  connect(pre, post, connector, weight, delay_ms, /*inhibitory=*/false);
-  projections_.back().stdp = stdp;
-  projections_.back().stdp.enabled = true;
-}
-
-std::uint64_t Network::total_neurons() const {
-  std::uint64_t total = 0;
-  for (const auto& p : populations_) total += p.size;
-  return total;
-}
-
 // ---- Declarative descriptions ----------------------------------------------
 
 bool default_record(NeuronModel model) {
@@ -381,8 +315,10 @@ bool build(const NetworkDescription& desc, Network* net,
 bool build(const NetworkDescription& desc, const NameMap& names,
            Network* net, std::string* error) {
   *net = Network{};
+  net->populations_.reserve(desc.populations.size());
   for (const PopulationDesc& pd : desc.populations) {
-    Population p;
+    Population& p = net->populations_.emplace_back();
+    p.id = static_cast<PopulationId>(net->populations_.size() - 1);
     p.name = pd.name;
     p.size = pd.size;
     p.model = pd.model;
@@ -402,8 +338,8 @@ bool build(const NetworkDescription& desc, const NameMap& names,
       p.spike_schedule = pd.schedule;
     }
     p.record = pd.record;
-    net->add_population(std::move(p));
   }
+  net->projections_.reserve(desc.projections.size());
   for (const ProjectionDesc& proj : desc.projections) {
     // Resolve through the map; bounds-check the indices so a stale or
     // caller-supplied map can only fail the build, never index out of the
@@ -419,15 +355,14 @@ bool build(const NetworkDescription& desc, const NameMap& names,
       }
       return false;
     }
-    const PopulationId pre = pre_it->second;
-    const PopulationId post = post_it->second;
-    if (proj.stdp.enabled) {
-      net->connect_plastic(pre, post, proj.connector, proj.weight,
-                           proj.delay_ms, proj.stdp);
-    } else {
-      net->connect(pre, post, proj.connector, proj.weight, proj.delay_ms,
-                   proj.inhibitory);
-    }
+    Projection& p = net->projections_.emplace_back();
+    p.pre = pre_it->second;
+    p.post = post_it->second;
+    p.connector = proj.connector;
+    p.weight = proj.weight;
+    p.delay_ms = proj.delay_ms;
+    p.inhibitory = proj.inhibitory;
+    p.stdp = proj.stdp;
   }
   return true;
 }

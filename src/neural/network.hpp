@@ -8,11 +8,11 @@
 //    references, fixed-point parameters).
 //  * `NetworkDescription` — the declarative form a *client* writes
 //    (name-based references, plain-double parameters: exactly what the
-//    wire carries).  build() is the single compilation point shared by
-//    every producer — the socket protocol's `net` parser, the typed
-//    net::NetBuilder, and the server's built-in apps — so one description
-//    yields a bit-identical Network whoever authored it and however it
-//    travelled.
+//    wire carries).  build() is the only producer of a Network, shared by
+//    every description author — the socket protocol's `net` parser, the
+//    typed net::NetBuilder, and the server's built-in apps — so one
+//    description yields a bit-identical Network whoever authored it and
+//    however it travelled, and every Network passed validate().
 #pragma once
 
 #include <cstdint>
@@ -91,40 +91,28 @@ struct Projection {
   StdpParams stdp;
 };
 
+struct NetworkDescription;
+
+/// Resolved name → population-index map, built once per description and
+/// threaded through validation, admission costing and build() so none of
+/// them redoes the linear name scans.  Duplicate names keep the first index.
+using NameMap = std::unordered_map<std::string, PopulationId>;
+
+/// The compiled network.  build() is its only producer: it fills the
+/// populations (each `id` its index) and projections from a validated
+/// description.
 class Network {
  public:
-  PopulationId add_population(Population p);
-
-  /// Convenience builders.
-  PopulationId add_lif(const std::string& name, std::uint32_t size,
-                       const LifParams& params = LifParams{},
-                       bool record = true);
-  PopulationId add_poisson(const std::string& name, std::uint32_t size,
-                           double rate_hz);
-  PopulationId add_spike_source(
-      const std::string& name,
-      std::vector<std::vector<std::uint32_t>> schedule);
-
-  void connect(PopulationId pre, PopulationId post, Connector connector,
-               ValueDist weight, ValueDist delay_ms, bool inhibitory = false);
-
-  /// An excitatory projection whose weights learn by pair-based STDP.
-  void connect_plastic(PopulationId pre, PopulationId post,
-                       Connector connector, ValueDist weight,
-                       ValueDist delay_ms, const StdpParams& stdp);
-
   const std::vector<Population>& populations() const { return populations_; }
   const std::vector<Projection>& projections() const { return projections_; }
   const Population& population(PopulationId id) const {
     return populations_[id];
   }
-  /// Mutable access for post-construction tweaks (e.g. turning recording on
-  /// for a source population).
-  Population& population(PopulationId id) { return populations_[id]; }
-
-  std::uint64_t total_neurons() const;
 
  private:
+  friend bool build(const NetworkDescription& desc, const NameMap& names,
+                    Network* net, std::string* error);
+
   std::vector<Population> populations_;
   std::vector<Projection> projections_;
 };
@@ -175,9 +163,9 @@ struct NetworkDescription {
   std::vector<ProjectionDesc> projections;
 };
 
-/// Whether populations of `model` record by default — mirrors the Network
-/// convenience builders: stimuli you scheduled (spike sources) and neurons
-/// you model (LIF/Izhikevich) record, background noise (Poisson) does not.
+/// Whether populations of `model` record by default: stimuli you scheduled
+/// (spike sources) and neurons you model (LIF/Izhikevich) record,
+/// background noise (Poisson) does not.
 bool default_record(NeuronModel model);
 
 /// Description bounds enforced by validate().  These are *description*
@@ -194,11 +182,6 @@ inline constexpr std::uint32_t kMaxScheduleTick = 100'000'000;  // ms ticks
 inline constexpr std::size_t kMaxScheduleEntries = 1u << 20;
 inline constexpr std::uint64_t kMaxDescribedSynapses = 1u << 24;
 inline constexpr std::uint32_t kMaxStdpWindowTicks = 100'000;
-
-/// Resolved name → population-index map, built once per description and
-/// threaded through validation, admission costing and build() so none of
-/// them redoes the linear name scans.  Duplicate names keep the first index.
-using NameMap = std::unordered_map<std::string, PopulationId>;
 
 /// Build the name map: checks the population-count cap, each name's
 /// charset/length and uniqueness.  On success *names resolves every

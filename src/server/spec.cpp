@@ -70,18 +70,6 @@ neural::NetworkDescription app_stdp() {
   return desc;
 }
 
-bool parse_bool(const std::string& text, bool* out) {
-  if (text == "1" || text == "true" || text == "on") {
-    *out = true;
-    return true;
-  }
-  if (text == "0" || text == "false" || text == "off") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 const std::vector<std::string>& app_names() {
@@ -244,6 +232,18 @@ bool parse_u64_strict(const std::string& text, std::uint64_t max,
   if (ec != std::errc{} || ptr != end || v > max) return false;
   *out = v;
   return true;
+}
+
+bool parse_bool(const std::string& text, bool* out) {
+  if (text == "1" || text == "true" || text == "on") {
+    *out = true;
+    return true;
+  }
+  if (text == "0" || text == "false" || text == "off") {
+    *out = false;
+    return true;
+  }
+  return false;
 }
 
 bool parse_run_ms(const std::string& text, TimeNs* duration) {

@@ -138,4 +138,9 @@ bool parse_run_ms(const std::string& text, TimeNs* duration);
 bool parse_u64_strict(const std::string& text, std::uint64_t max,
                       std::uint64_t* out);
 
+/// The one boolean grammar of every wire key (`scatter=`, `boot=`, the net
+/// block's `record=`, `inh=` and `self=`, the fault verb's `conv=`):
+/// `1|true|on` and `0|false|off`, nothing else.
+bool parse_bool(const std::string& text, bool* out);
+
 }  // namespace spinn::server

@@ -33,12 +33,9 @@ std::uint32_t resolve_count(std::uint32_t requested) {
 }
 
 // Window/barrier/merge accounting — the shard-imbalance surface the
-// reactor-scaling roadmap items read.  Registration happens once on first
-// window; the window loop then only touches lock-free references.
-obs::Counter& windows_metric() {
-  static obs::Counter& c = obs::Registry::global().counter("sim.windows");
-  return c;
-}
+// reactor-scaling roadmap items read; the window histogram's count is the
+// number of windows.  Registration happens once on first window; the window
+// loop then only touches lock-free references.
 obs::Histogram& window_hist() {
   static obs::Histogram& h = obs::Registry::global().histogram(
       "sim.window_wall_ns", 0, 100'000'000, 1000);
@@ -294,7 +291,6 @@ std::uint64_t ShardedSimulator::run_until(TimeNs until) {
     await_workers();
     window_active_ = false;
     const std::int64_t barrier_t1 = WallClock::now_ns();
-    windows_metric().inc();
     window_hist().observe(barrier_t1 - win_t0);
     barrier_hist().observe(barrier_t1 - barrier_t0);
     obs::Tracer::global().complete("engine", "engine.window", win_t0,

@@ -22,6 +22,7 @@
 #include "noc/system_noc.hpp"
 #include "router/output_port.hpp"
 #include "router/router.hpp"
+#include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -77,13 +78,13 @@ TEST(Allocation, MachineAllocatesNothingPerLink) {
   // spent per link or per port.
   constexpr CoreIndex kCores = 2;
   auto build = [](std::uint16_t side) {
-    sim::Simulator sim;
+    sim::SerialEngine engine;
     mesh::MachineConfig cfg;
     cfg.width = side;
     cfg.height = side;
     cfg.chip.num_cores = kCores;
     const std::uint64_t before = news();
-    mesh::Machine machine(sim, cfg);
+    mesh::Machine machine(engine, cfg);
     return news() - before;
   };
   const std::uint64_t small = build(2);

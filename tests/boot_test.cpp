@@ -5,7 +5,7 @@
 
 #include "boot/boot_controller.hpp"
 #include "mesh/machine.hpp"
-#include "sim/simulator.hpp"
+#include "sim/engine.hpp"
 
 namespace spinn::boot {
 namespace {
@@ -27,14 +27,15 @@ BootConfig small_boot() {
 }
 
 struct BootRun {
-  sim::Simulator sim{1};
+  sim::SerialEngine engine{1};
+  sim::Simulator& sim = engine.root();
   mesh::Machine machine;
   BootController controller;
   BootReport report;
   bool finished = false;
 
   BootRun(const mesh::MachineConfig& mc, const BootConfig& bc)
-      : machine(sim, mc), controller(sim, machine, bc) {}
+      : machine(engine, mc), controller(sim, machine, bc) {}
 
   void run(TimeNs limit = 10 * kSecond) {
     controller.start([this](const BootReport& r) {

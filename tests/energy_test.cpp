@@ -5,7 +5,7 @@
 #include "energy/cost_model.hpp"
 #include "energy/energy_model.hpp"
 #include "mesh/machine.hpp"
-#include "sim/simulator.hpp"
+#include "sim/engine.hpp"
 
 namespace spinn::energy {
 namespace {
@@ -69,8 +69,9 @@ mesh::MachineConfig tiny_machine() {
 }
 
 TEST(EnergyAccount, IdleMachineBurnsOnlySleepAndStatic) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, tiny_machine());
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, tiny_machine());
+  sim::Simulator& sim = engine.root();
   sim.run_until(10 * kMillisecond);
   const EnergyBreakdown e = account(m, sim.now());
   EXPECT_DOUBLE_EQ(e.core_active_j, 0.0);
@@ -81,8 +82,9 @@ TEST(EnergyAccount, IdleMachineBurnsOnlySleepAndStatic) {
 }
 
 TEST(EnergyAccount, SleepEnergyScalesWithWindow) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, tiny_machine());
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, tiny_machine());
+  sim::Simulator& sim = engine.root();
   sim.run_until(10 * kMillisecond);
   const double e10 = account(m, sim.now()).total_j();
   sim.run_until(20 * kMillisecond);
@@ -91,8 +93,9 @@ TEST(EnergyAccount, SleepEnergyScalesWithWindow) {
 }
 
 TEST(EnergyAccount, FabricEnergyFollowsTraffic) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, tiny_machine());
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, tiny_machine());
+  sim::Simulator& sim = engine.root();
   m.chip_at({0, 0}).router().mc_table().add(
       {1, ~0u, router::Route::to_link(LinkDir::East)});
   m.chip_at({1, 0}).router().mc_table().add(
@@ -115,8 +118,9 @@ TEST(EnergyAccount, FabricEnergyFollowsTraffic) {
 }
 
 TEST(EnergyAccount, AveragePowerSane) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, tiny_machine());
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, tiny_machine());
+  sim::Simulator& sim = engine.root();
   sim.run_until(kSecond);
   const EnergyBreakdown e = account(m, sim.now());
   // 4 chips x (4 cores x 2 mW sleep + 50 mW static) ~ 0.23 W.
@@ -126,8 +130,9 @@ TEST(EnergyAccount, AveragePowerSane) {
 }
 
 TEST(EnergyAccount, ParamsScaleResults) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, tiny_machine());
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, tiny_machine());
+  sim::Simulator& sim = engine.root();
   sim.run_until(kMillisecond);
   EnergyParams cheap;
   EnergyParams pricey = cheap;

@@ -17,21 +17,22 @@
 
 #include "core/traffic.hpp"
 #include "mesh/machine.hpp"
-#include "sim/simulator.hpp"
+#include "sim/engine.hpp"
 
 namespace spinn {
 namespace {
 
 struct FuzzWorld {
-  sim::Simulator sim;
+  sim::SerialEngine engine;
+  sim::Simulator& sim = engine.root();
   mesh::Machine machine;
   Rng rng;
   // Delivery log: (core, key) counts.
   std::map<std::pair<CoreId, RoutingKey>, int> delivered;
 
   FuzzWorld(std::uint64_t seed, std::uint16_t dim)
-      : sim(seed),
-        machine(sim,
+      : engine(seed),
+        machine(engine,
                 [&] {
                   mesh::MachineConfig mc;
                   mc.width = dim;

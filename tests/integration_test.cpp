@@ -8,6 +8,8 @@
 #include <set>
 
 #include "core/system.hpp"
+#include "net/client.hpp"
+#include "network_util.hpp"
 
 namespace spinn {
 namespace {
@@ -24,14 +26,16 @@ SystemConfig small_system(std::uint16_t w = 2, std::uint16_t h = 2) {
 
 TEST(Integration, SpikeSourceDrivesTargetThroughFabric) {
   System sys(small_system());
-  neural::Network net;
   // One source neuron spikes at ticks 2 and 5; strong one-to-one synapse
   // makes the single LIF target fire shortly after each.
-  const auto src = net.add_spike_source("src", {{2, 8}});
-  const auto dst = net.add_lif("dst", 1);
-  net.connect(src, dst, neural::Connector::one_to_one(),
-              neural::ValueDist::fixed(40.0), neural::ValueDist::fixed(1.0));
-  const auto report = sys.load(net);
+  net::NetBuilder b;
+  b.spike_source("src", {{2, 8}});
+  b.lif("dst", 1);
+  b.project("src", "dst", neural::Connector::one_to_one(),
+            neural::ValueDist::fixed(40.0), neural::ValueDist::fixed(1.0));
+  constexpr neural::PopulationId src = 0;
+  constexpr neural::PopulationId dst = 1;
+  const auto report = sys.load(test::compile(b.description()));
   ASSERT_TRUE(report.ok) << report.error;
   sys.run(20 * kMillisecond);
 
@@ -53,13 +57,15 @@ TEST(Integration, SynapticDelayIsReinsertedAtTarget) {
   // relative to source spike time for two different programmed delays.
   for (const double delay_ms : {2.0, 9.0}) {
     System sys(small_system());
-    neural::Network net;
-    const auto src = net.add_spike_source("src", {{3}});
-    const auto dst = net.add_lif("dst", 1);
-    net.connect(src, dst, neural::Connector::one_to_one(),
-                neural::ValueDist::fixed(40.0),
-                neural::ValueDist::fixed(delay_ms));
-    const auto report = sys.load(net);
+    net::NetBuilder b;
+    b.spike_source("src", {{3}});
+    b.lif("dst", 1);
+    b.project("src", "dst", neural::Connector::one_to_one(),
+              neural::ValueDist::fixed(40.0),
+              neural::ValueDist::fixed(delay_ms));
+    constexpr neural::PopulationId src = 0;
+    constexpr neural::PopulationId dst = 1;
+    const auto report = sys.load(test::compile(b.description()));
     ASSERT_TRUE(report.ok);
     sys.run(25 * kMillisecond);
 
@@ -86,20 +92,21 @@ TEST(Integration, SynapticDelayIsReinsertedAtTarget) {
 
 TEST(Integration, InhibitionSuppressesFiring) {
   System sys(small_system());
-  neural::Network net;
-  const auto drive = net.add_spike_source(
-      "drive", {{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}});
-  const auto excited = net.add_lif("excited", 1);
-  const auto inhibited = net.add_lif("inhibited", 1);
-  net.connect(drive, excited, neural::Connector::all_to_all(),
-              neural::ValueDist::fixed(40.0), neural::ValueDist::fixed(1.0));
-  net.connect(drive, inhibited, neural::Connector::all_to_all(),
-              neural::ValueDist::fixed(40.0), neural::ValueDist::fixed(1.0));
+  net::NetBuilder b;
+  b.spike_source("drive", {{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}});
+  b.lif("excited", 1);
+  b.lif("inhibited", 1);
+  b.project("drive", "excited", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(40.0), neural::ValueDist::fixed(1.0));
+  b.project("drive", "inhibited", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(40.0), neural::ValueDist::fixed(1.0));
   // Strong inhibition arrives at the same time as the excitation.
-  net.connect(drive, inhibited, neural::Connector::all_to_all(),
-              neural::ValueDist::fixed(60.0), neural::ValueDist::fixed(1.0),
-              /*inhibitory=*/true);
-  const auto report = sys.load(net);
+  b.project("drive", "inhibited", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(60.0), neural::ValueDist::fixed(1.0),
+            /*inhibitory=*/true);
+  constexpr neural::PopulationId excited = 1;
+  constexpr neural::PopulationId inhibited = 2;
+  const auto report = sys.load(test::compile(b.description()));
   ASSERT_TRUE(report.ok);
   sys.run(30 * kMillisecond);
   const auto exc_base =
@@ -116,10 +123,10 @@ TEST(Integration, InhibitionSuppressesFiring) {
 
 TEST(Integration, PoissonPopulationFiresAtConfiguredRate) {
   System sys(small_system());
-  neural::Network net;
-  const auto pop = net.add_poisson("noise", 100, 50.0);  // 50 Hz x 100
-  net.population(pop).record = true;
-  const auto report = sys.load(net);
+  net::NetBuilder b;
+  b.poisson("noise", 100, 50.0).record = true;  // 50 Hz x 100
+  constexpr neural::PopulationId pop = 0;
+  const auto report = sys.load(test::compile(b.description()));
   ASSERT_TRUE(report.ok);
   sys.run(1000 * kMillisecond);
   const auto base =
@@ -135,12 +142,12 @@ TEST(Integration, MultiChipNetworkUsesInterChipLinks) {
   SystemConfig cfg = small_system(3, 3);
   cfg.mapper.scatter = true;
   System sys(cfg);
-  neural::Network net;
-  const auto src = net.add_poisson("src", 128, 100.0);
-  const auto dst = net.add_lif("dst", 128);
-  net.connect(src, dst, neural::Connector::fixed_probability(0.3),
-              neural::ValueDist::fixed(5.0), neural::ValueDist::fixed(1.0));
-  const auto report = sys.load(net);
+  net::NetBuilder b;
+  b.poisson("src", 128, 100.0);
+  b.lif("dst", 128);
+  b.project("src", "dst", neural::Connector::fixed_probability(0.3),
+            neural::ValueDist::fixed(5.0), neural::ValueDist::fixed(1.0));
+  const auto report = sys.load(test::compile(b.description()));
   ASSERT_TRUE(report.ok);
   sys.run(200 * kMillisecond);
   const auto totals = sys.fabric_totals();
@@ -151,12 +158,12 @@ TEST(Integration, MultiChipNetworkUsesInterChipLinks) {
 
 TEST(Integration, RealTimeNoOverrunsAtModestLoad) {
   System sys(small_system());
-  neural::Network net;
-  const auto src = net.add_poisson("src", 64, 20.0);
-  const auto dst = net.add_lif("dst", 64);
-  net.connect(src, dst, neural::Connector::fixed_probability(0.1),
-              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.poisson("src", 64, 20.0);
+  b.lif("dst", 64);
+  b.project("src", "dst", neural::Connector::fixed_probability(0.1),
+            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(100 * kMillisecond);
   std::uint64_t overruns = 0;
   for (std::uint16_t x = 0; x < 2; ++x) {
@@ -173,24 +180,24 @@ TEST(Integration, OverloadedCoreMissesDeadlines) {
   SystemConfig cfg = small_system(1, 1);
   cfg.mapper.neurons_per_core = 2000;
   System sys(cfg);
-  neural::Network net;
-  const auto src = net.add_poisson("src", 2000, 100.0);
-  const auto dst = net.add_lif("dst", 2000);
-  net.connect(src, dst, neural::Connector::fixed_probability(0.05),
-              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.poisson("src", 2000, 100.0);
+  b.lif("dst", 2000);
+  b.project("src", "dst", neural::Connector::fixed_probability(0.05),
+            neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(50 * kMillisecond);
   EXPECT_GT(sys.machine().chip_at({0, 0}).total_overruns(), 0u);
 }
 
 TEST(Integration, EnergyAccountingProducesSaneBreakdown) {
   System sys(small_system());
-  neural::Network net;
-  const auto src = net.add_poisson("src", 64, 50.0);
-  const auto dst = net.add_lif("dst", 64);
-  net.connect(src, dst, neural::Connector::fixed_probability(0.2),
-              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.poisson("src", 64, 50.0);
+  b.lif("dst", 64);
+  b.project("src", "dst", neural::Connector::fixed_probability(0.2),
+            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(100 * kMillisecond);
   const auto energy = sys.energy();
   EXPECT_GT(energy.core_active_j, 0.0);
@@ -208,12 +215,12 @@ TEST(Integration, EnergyAccountingProducesSaneBreakdown) {
 TEST(Integration, DeterministicAcrossRuns) {
   auto run_once = [] {
     System sys(small_system());
-    neural::Network net;
-    const auto src = net.add_poisson("src", 32, 40.0);
-    const auto dst = net.add_lif("dst", 32);
-    net.connect(src, dst, neural::Connector::fixed_probability(0.2),
-                neural::ValueDist::fixed(3.0), neural::ValueDist::fixed(2.0));
-    sys.load(net);
+    net::NetBuilder b;
+    b.poisson("src", 32, 40.0);
+    b.lif("dst", 32);
+    b.project("src", "dst", neural::Connector::fixed_probability(0.2),
+              neural::ValueDist::fixed(3.0), neural::ValueDist::fixed(2.0));
+    sys.load(test::compile(b.description()));
     sys.run(50 * kMillisecond);
     std::vector<std::pair<TimeNs, RoutingKey>> out;
     for (const auto& e : sys.spikes().events()) {

@@ -14,7 +14,9 @@
 #include "map/placement.hpp"
 #include "map/routing_gen.hpp"
 #include "mesh/machine.hpp"
-#include "sim/simulator.hpp"
+#include "net/client.hpp"
+#include "network_util.hpp"
+#include "sim/engine.hpp"
 
 namespace spinn::map {
 namespace {
@@ -32,10 +34,11 @@ mesh::MachineConfig machine_config(std::uint16_t w = 4, std::uint16_t h = 4,
 // ---- placement ---------------------------------------------------------------
 
 TEST(Placement, SlicesCoverPopulationExactly) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config());
-  neural::Network net;
-  net.add_lif("big", 1000);
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config());
+  net::NetBuilder b;
+  b.lif("big", 1000);
+  const neural::Network net = test::compile(b.description());
   MapperConfig cfg;
   cfg.neurons_per_core = 256;
   const PlacementResult placement = place(net, m, cfg);
@@ -53,11 +56,12 @@ TEST(Placement, SlicesCoverPopulationExactly) {
 }
 
 TEST(Placement, DistinctCoresAndKeyBases) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config());
-  neural::Network net;
-  net.add_lif("a", 600);
-  net.add_lif("b", 600);
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config());
+  net::NetBuilder b;
+  b.lif("a", 600);
+  b.lif("b", 600);
+  const neural::Network net = test::compile(b.description());
   const PlacementResult placement = place(net, m, MapperConfig{});
   ASSERT_TRUE(placement.fits);
   std::set<CoreId> cores;
@@ -71,12 +75,13 @@ TEST(Placement, DistinctCoresAndKeyBases) {
 }
 
 TEST(Placement, ReservesMonitorCore) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config(1, 1, 3));
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config(1, 1, 3));
   // Elect core 2 as monitor by force.
   m.chip_at({0, 0}).system_controller().force_monitor(2);
-  neural::Network net;
-  net.add_lif("a", 2 * 256);
+  net::NetBuilder b;
+  b.lif("a", 2 * 256);
+  const neural::Network net = test::compile(b.description());
   const PlacementResult placement = place(net, m, MapperConfig{});
   ASSERT_TRUE(placement.fits);
   for (const Slice& s : placement.slices) {
@@ -85,11 +90,12 @@ TEST(Placement, ReservesMonitorCore) {
 }
 
 TEST(Placement, FailedCoresSkipped) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config(1, 1, 4));
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config(1, 1, 4));
   m.chip_at({0, 0}).core(1).mark_failed();
-  neural::Network net;
-  net.add_lif("a", 512);
+  net::NetBuilder b;
+  b.lif("a", 512);
+  const neural::Network net = test::compile(b.description());
   const PlacementResult placement = place(net, m, MapperConfig{});
   ASSERT_TRUE(placement.fits);
   for (const Slice& s : placement.slices) {
@@ -98,19 +104,21 @@ TEST(Placement, FailedCoresSkipped) {
 }
 
 TEST(Placement, ReportsWhenMachineTooSmall) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config(1, 1, 2));  // 1 app core
-  neural::Network net;
-  net.add_lif("a", 10'000);
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config(1, 1, 2));  // 1 app core
+  net::NetBuilder b;
+  b.lif("a", 10'000);
+  const neural::Network net = test::compile(b.description());
   const PlacementResult placement = place(net, m, MapperConfig{});
   EXPECT_FALSE(placement.fits);
 }
 
 TEST(Placement, ScatterSpreadsAcrossChips) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config(4, 4, 5));
-  neural::Network net;
-  net.add_lif("a", 4 * 256);
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config(4, 4, 5));
+  net::NetBuilder b;
+  b.lif("a", 4 * 256);
+  const neural::Network net = test::compile(b.description());
   MapperConfig packed;
   MapperConfig scattered;
   scattered.scatter = true;
@@ -123,10 +131,12 @@ TEST(Placement, ScatterSpreadsAcrossChips) {
 }
 
 TEST(Placement, SliceOfFindsOwner) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config());
-  neural::Network net;
-  const auto a = net.add_lif("a", 300);
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config());
+  net::NetBuilder b;
+  b.lif("a", 300);
+  const neural::Network net = test::compile(b.description());
+  constexpr neural::PopulationId a = 0;
   const PlacementResult placement = place(net, m, MapperConfig{});
   const auto s0 = slice_of(placement, a, 0);
   const auto s299 = slice_of(placement, a, 299);
@@ -182,27 +192,32 @@ std::set<CoreId> walk_route(const RoutingResult& routing,
   return delivered;
 }
 
+neural::Network routed_net() {
+  net::NetBuilder b;
+  b.poisson("src", 600, 10.0);
+  b.lif("mid", 600);
+  b.lif("dst", 300);
+  b.project("src", "mid", neural::Connector::fixed_probability(0.1),
+            neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  b.project("mid", "dst", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(0.5), neural::ValueDist::fixed(2.0));
+  b.project("mid", "mid", neural::Connector::fixed_probability(0.05),
+            neural::ValueDist::fixed(0.2), neural::ValueDist::fixed(1.0),
+            /*inhibitory=*/true);
+  return test::compile(b.description());
+}
+
 struct RoutedNetwork {
-  sim::Simulator sim{1};
+  sim::SerialEngine engine{1};
   mesh::Machine machine;
-  neural::Network net;
+  neural::Network net = routed_net();
   PlacementResult placement;
   RoutingResult routing;
 
   explicit RoutedNetwork(const MapperConfig& cfg,
                          std::uint16_t w = 6, std::uint16_t h = 6,
                          CoreIndex cores = 6)
-      : machine(sim, machine_config(w, h, cores)) {
-    const auto src = net.add_poisson("src", 600, 10.0);
-    const auto mid = net.add_lif("mid", 600);
-    const auto dst = net.add_lif("dst", 300);
-    net.connect(src, mid, neural::Connector::fixed_probability(0.1),
-                neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
-    net.connect(mid, dst, neural::Connector::all_to_all(),
-                neural::ValueDist::fixed(0.5), neural::ValueDist::fixed(2.0));
-    net.connect(mid, mid, neural::Connector::fixed_probability(0.05),
-                neural::ValueDist::fixed(0.2), neural::ValueDist::fixed(1.0),
-                /*inhibitory=*/true);
+      : machine(engine, machine_config(w, h, cores)) {
     placement = place(net, machine, cfg);
     routing = generate_routing(net, placement, machine.topology(), cfg);
   }
@@ -314,8 +329,8 @@ TEST(Minimize, CascadesMerges) {
 }
 
 TEST(InstallTables, WritesEachChipsEntriesInOrder) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config());
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config());
   const router::Route r = router::Route::to_core(1);
   ChipTables tables;
   tables[{0, 0}] = {{0x0000, 0xF800, r}, {0x0800, 0xF800, r}};
@@ -333,8 +348,8 @@ TEST(InstallTables, WritesEachChipsEntriesInOrder) {
 }
 
 TEST(InstallTables, StopsAtTheEntryAFullTableRefuses) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config());
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config());
   constexpr std::size_t kCapacity = router::MulticastTable::kCapacity;
   ChipTables tables;
   std::vector<router::McEntry>& entries = tables[{2, 1}];
@@ -355,13 +370,16 @@ TEST(InstallTables, StopsAtTheEntryAFullTableRefuses) {
 // ---- loader ---------------------------------------------------------------------
 
 TEST(Loader, BuildsRowsAndInstallsPrograms) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config());
-  neural::Network net;
-  const auto a = net.add_lif("a", 20);
-  const auto b = net.add_lif("b", 20);
-  net.connect(a, b, neural::Connector::one_to_one(),
-              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(3.0));
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config());
+  net::NetBuilder nb;
+  nb.lif("a", 20);
+  nb.lif("b", 20);
+  nb.project("a", "b", neural::Connector::one_to_one(),
+             neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(3.0));
+  const neural::Network net = test::compile(nb.description());
+  constexpr neural::PopulationId a = 0;
+  constexpr neural::PopulationId b = 1;
   Loader loader(MapperConfig{});
   neural::SpikeRecorder rec;
   Rng rng(9);
@@ -390,13 +408,14 @@ TEST(Loader, BuildsRowsAndInstallsPrograms) {
 }
 
 TEST(Loader, AllToAllSynapseCount) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config());
-  neural::Network net;
-  const auto a = net.add_lif("a", 30);
-  const auto b = net.add_lif("b", 40);
-  net.connect(a, b, neural::Connector::all_to_all(),
-              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config());
+  net::NetBuilder b;
+  b.lif("a", 30);
+  b.lif("b", 40);
+  b.project("a", "b", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  const neural::Network net = test::compile(b.description());
   Loader loader(MapperConfig{});
   Rng rng(3);
   const LoadReport report = loader.load(net, m, nullptr, rng);
@@ -405,12 +424,13 @@ TEST(Loader, AllToAllSynapseCount) {
 }
 
 TEST(Loader, SelfConnectionsExcludedByDefault) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config());
-  neural::Network net;
-  const auto a = net.add_lif("a", 25);
-  net.connect(a, a, neural::Connector::all_to_all(),
-              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config());
+  net::NetBuilder b;
+  b.lif("a", 25);
+  b.project("a", "a", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  const neural::Network net = test::compile(b.description());
   Loader loader(MapperConfig{});
   Rng rng(3);
   const LoadReport report = loader.load(net, m, nullptr, rng);
@@ -419,13 +439,14 @@ TEST(Loader, SelfConnectionsExcludedByDefault) {
 }
 
 TEST(Loader, FixedProbabilityDensityApproximatelyRight) {
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config(6, 6, 6));
-  neural::Network net;
-  const auto a = net.add_lif("a", 200);
-  const auto b = net.add_lif("b", 200);
-  net.connect(a, b, neural::Connector::fixed_probability(0.1),
-              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config(6, 6, 6));
+  net::NetBuilder b;
+  b.lif("a", 200);
+  b.lif("b", 200);
+  b.project("a", "b", neural::Connector::fixed_probability(0.1),
+            neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  const neural::Network net = test::compile(b.description());
   Loader loader(MapperConfig{});
   Rng rng(5);
   const LoadReport report = loader.load(net, m, nullptr, rng);
@@ -443,13 +464,15 @@ TEST(Loader, DrawsEachSynapseDelayThenWeight) {
   cfg.machine = machine_config(2, 2, 4);
   cfg.machine.seed = 11;
   System sys(cfg);
-  neural::Network net;
-  const auto a = net.add_lif("a", 4);
-  const auto b = net.add_lif("b", 5);
   const auto weight = neural::ValueDist::uniform(1.0, 4.0);
   const auto delay = neural::ValueDist::uniform(1.0, 8.0);
-  net.connect(a, b, neural::Connector::all_to_all(), weight, delay);
-  const LoadReport report = sys.load(net);
+  net::NetBuilder nb;
+  nb.lif("a", 4);
+  nb.lif("b", 5);
+  nb.project("a", "b", neural::Connector::all_to_all(), weight, delay);
+  constexpr neural::PopulationId a = 0;
+  constexpr neural::PopulationId b = 1;
+  const LoadReport report = sys.load(test::compile(nb.description()));
   ASSERT_TRUE(report.ok) << report.error;
   ASSERT_EQ(report.total_synapses, 20u);
 
@@ -490,17 +513,20 @@ TEST(Loader, DrawsEachSynapseDelayThenWeight) {
   sliced_cfg.machine = machine_config(4, 4, 4);
   sliced_cfg.mapper.neurons_per_core = 5;
   System sliced(sliced_cfg);
-  neural::Network fp;
-  const auto x = fp.add_lif("x", 4);
-  const auto y = fp.add_lif("y", 12);  // slices of 5, 5 and 2
-  const auto z = fp.add_lif("z", 3);
-  const auto u = fp.add_lif("u", 200);
+  net::NetBuilder fb;
+  fb.lif("x", 4);
+  fb.lif("y", 12);  // slices of 5, 5 and 2
+  fb.lif("z", 3);
+  fb.lif("u", 200);
+  constexpr neural::PopulationId x = 0;
+  constexpr neural::PopulationId y = 1;
   using neural::Connector;
-  fp.connect(x, y, Connector::fixed_probability(0.4), weight, delay);
-  fp.connect(u, u, Connector::fixed_probability(0.02), weight, delay);
-  fp.connect(y, y, Connector::fixed_probability(0.5), weight, delay);
-  fp.connect(z, y, Connector::fixed_probability(0.0), weight, delay);
-  fp.connect(x, y, Connector::fixed_probability(1.0), weight, delay);
+  fb.project("x", "y", Connector::fixed_probability(0.4), weight, delay);
+  fb.project("u", "u", Connector::fixed_probability(0.02), weight, delay);
+  fb.project("y", "y", Connector::fixed_probability(0.5), weight, delay);
+  fb.project("z", "y", Connector::fixed_probability(0.0), weight, delay);
+  fb.project("x", "y", Connector::fixed_probability(1.0), weight, delay);
+  const neural::Network fp = test::compile(fb.description());
   std::uint64_t candidates = 0;
   for (const neural::Projection& proj : fp.projections()) {
     candidates += std::uint64_t{fp.population(proj.pre).size} *
@@ -577,14 +603,15 @@ TEST(Loader, DrawsEachSynapseDelayThenWeight) {
 // fewer.
 TEST(Loader, LeavesTheRngAfterItsLastDraw) {
   for (const std::uint32_t n : {40u, 200u}) {
-    sim::Simulator sim(1);
-    mesh::Machine m(sim, machine_config());
-    neural::Network net;
-    const auto a = net.add_lif("a", n);
-    const auto b = net.add_lif("b", n);
-    net.connect(a, b, neural::Connector::fixed_probability(0.1),
-                neural::ValueDist::uniform(1.0, 4.0),
-                neural::ValueDist::uniform(1.0, 8.0));
+    sim::SerialEngine engine(1);
+    mesh::Machine m(engine, machine_config());
+    net::NetBuilder b;
+    b.lif("a", n);
+    b.lif("b", n);
+    b.project("a", "b", neural::Connector::fixed_probability(0.1),
+              neural::ValueDist::uniform(1.0, 4.0),
+              neural::ValueDist::uniform(1.0, 8.0));
+    const neural::Network net = test::compile(b.description());
     Loader loader(MapperConfig{});
     Rng rng(77);
     const LoadReport report = loader.load(net, m, nullptr, rng);
@@ -602,16 +629,17 @@ TEST(Loader, LeavesTheRngAfterItsLastDraw) {
 // slice would send slice k + 1's first key, and its spikes would reach the
 // wrong rows or none.  The load refuses such a slice, saying why.
 TEST(Loader, RefusesSlicesWiderThanTheKeyLayout) {
-  neural::Network net;
-  const auto src = net.add_poisson("src", 3000, 10.0);
-  const auto dst = net.add_lif("dst", 10);
-  net.connect(src, dst, neural::Connector::all_to_all(),
-              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  net::NetBuilder b;
+  b.poisson("src", 3000, 10.0);
+  b.lif("dst", 10);
+  b.project("src", "dst", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  const neural::Network net = test::compile(b.description());
   MapperConfig cfg;
   cfg.neurons_per_core = 4000;
   {
-    sim::Simulator sim(1);
-    mesh::Machine m(sim, machine_config());
+    sim::SerialEngine engine(1);
+    mesh::Machine m(engine, machine_config());
     Loader loader(cfg);
     Rng rng(1);
     const LoadReport report = loader.load(net, m, nullptr, rng);
@@ -627,8 +655,8 @@ TEST(Loader, RefusesSlicesWiderThanTheKeyLayout) {
   }
   // The widest slice the layout holds loads, every source with its row.
   cfg.neurons_per_core = RoutingKey{1} << kNeuronKeyBits;
-  sim::Simulator sim(1);
-  mesh::Machine m(sim, machine_config());
+  sim::SerialEngine engine(1);
+  mesh::Machine m(engine, machine_config());
   Loader loader(cfg);
   Rng rng(1);
   const LoadReport report = loader.load(net, m, nullptr, rng);

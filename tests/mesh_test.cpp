@@ -6,7 +6,7 @@
 
 #include "core/traffic.hpp"
 #include "mesh/machine.hpp"
-#include "sim/simulator.hpp"
+#include "sim/engine.hpp"
 
 namespace spinn::mesh {
 namespace {
@@ -38,8 +38,9 @@ Sink attach_sink(Machine& m, ChipCoord c, CoreIndex core) {
 }
 
 TEST(Machine, PacketCrossesOneLink) {
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine());
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine());
+  sim::Simulator& sim = engine.root();
   // Route key 7 east from (0,0); deliver to core 1 at (1,0).
   add_entry(m, {0, 0}, 7, router::Route::to_link(LinkDir::East));
   add_entry(m, {1, 0}, 7, router::Route::to_core(1));
@@ -59,8 +60,9 @@ TEST(Machine, PacketCrossesOneLink) {
 }
 
 TEST(Machine, DefaultRoutingCarriesPacketAlongARow) {
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine(6, 1));
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine(6, 1));
+  sim::Simulator& sim = engine.root();
   // Only the source and destination chips hold entries; the four chips in
   // between rely on default routing (the §5.3 table-compression trick).
   add_entry(m, {0, 0}, 9, router::Route::to_link(LinkDir::East));
@@ -79,8 +81,9 @@ TEST(Machine, DefaultRoutingCarriesPacketAlongARow) {
 }
 
 TEST(Machine, MulticastFanOutDeliversToSeveralChips) {
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine());
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine());
+  sim::Simulator& sim = engine.root();
   add_entry(m, {0, 0}, 3,
             router::Route::to_link(LinkDir::East)
                 .with_link(LinkDir::North)
@@ -103,8 +106,9 @@ TEST(Machine, MulticastFanOutDeliversToSeveralChips) {
 }
 
 TEST(Machine, WrapAroundLinksWork) {
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine());
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine());
+  sim::Simulator& sim = engine.root();
   add_entry(m, {3, 0}, 5, router::Route::to_link(LinkDir::East));  // wraps
   add_entry(m, {0, 0}, 5, router::Route::to_core(1));
   const Sink sink = attach_sink(m, {0, 0}, 1);
@@ -119,8 +123,9 @@ TEST(Machine, WrapAroundLinksWork) {
 }
 
 TEST(Machine, EmergencyRoutingHealsSingleLinkFailure) {
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine());
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine());
+  sim::Simulator& sim = engine.root();
   add_entry(m, {0, 0}, 11, router::Route::to_link(LinkDir::East));
   add_entry(m, {1, 0}, 11, router::Route::to_core(1));
   const Sink sink = attach_sink(m, {1, 0}, 1);
@@ -142,8 +147,9 @@ TEST(Machine, EmergencyRoutingHealsSingleLinkFailure) {
 }
 
 TEST(Machine, FailedChipSwallowsTraffic) {
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine(6, 1));
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine(6, 1));
+  sim::Simulator& sim = engine.root();
   add_entry(m, {0, 0}, 9, router::Route::to_link(LinkDir::East));
   add_entry(m, {5, 0}, 9, router::Route::to_core(2));
   const Sink sink = attach_sink(m, {5, 0}, 2);
@@ -160,8 +166,9 @@ TEST(Machine, FailedChipSwallowsTraffic) {
 }
 
 TEST(Machine, LinkRepairRestoresNormalPath) {
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine());
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine());
+  sim::Simulator& sim = engine.root();
   add_entry(m, {0, 0}, 11, router::Route::to_link(LinkDir::East));
   add_entry(m, {1, 0}, 11, router::Route::to_core(1));
   const Sink sink = attach_sink(m, {1, 0}, 1);
@@ -181,8 +188,9 @@ TEST(Machine, LinkRepairRestoresNormalPath) {
 TEST(Machine, ArrivalPortIsOppositeOfTravelDirection) {
   // Structural check of the wiring: a packet sent out East with no entry at
   // the neighbour continues East (default route = straight line).
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine(3, 1));
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine(3, 1));
+  sim::Simulator& sim = engine.root();
   add_entry(m, {0, 0}, 1, router::Route::to_link(LinkDir::East));
   add_entry(m, {2, 0}, 1, router::Route::to_core(0));
   const Sink sink = attach_sink(m, {2, 0}, 0);
@@ -196,8 +204,9 @@ TEST(Machine, ArrivalPortIsOppositeOfTravelDirection) {
 }
 
 TEST(Machine, HostLinkRoundTrip) {
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine());
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine());
+  sim::Simulator& sim = engine.root();
   int node_frames = 0;
   int host_frames = 0;
   m.chip_at({0, 0}).set_monitor_packet_handler(
@@ -219,8 +228,9 @@ TEST(Machine, HostLinkRoundTrip) {
 }
 
 TEST(Machine, FabricTotalsAggregate) {
-  sim::Simulator sim(1);
-  Machine m(sim, small_machine(2, 2));
+  sim::SerialEngine engine(1);
+  Machine m(engine, small_machine(2, 2));
+  sim::Simulator& sim = engine.root();
   add_entry(m, {0, 0}, 2, router::Route::to_link(LinkDir::East));
   add_entry(m, {1, 0}, 2, router::Route::to_core(0));
   attach_sink(m, {1, 0}, 0);

@@ -7,6 +7,8 @@
 #include "core/fault_controller.hpp"
 #include "core/system.hpp"
 #include "map/migration.hpp"
+#include "net/client.hpp"
+#include "network_util.hpp"
 
 namespace spinn {
 namespace {
@@ -21,20 +23,23 @@ SystemConfig small_system() {
   return cfg;
 }
 
+neural::Network rig_net() {
+  net::NetBuilder b;
+  b.poisson("src", 32, 50.0);
+  b.lif("dst", 32);
+  b.project("src", "dst", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  return test::compile(b.description());
+}
+
 struct Rig {
+  static constexpr neural::PopulationId src = 0;
+  static constexpr neural::PopulationId dst = 1;
   System sys;
-  neural::Network net;
-  neural::PopulationId src, dst;
+  neural::Network net = rig_net();
   map::LoadReport report;
 
-  Rig() : sys(small_system()) {
-    src = net.add_poisson("src", 32, 50.0);
-    dst = net.add_lif("dst", 32);
-    net.population(dst).record = true;
-    net.connect(src, dst, neural::Connector::all_to_all(),
-                neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
-    report = sys.load(net);
-  }
+  Rig() : sys(small_system()) { report = sys.load(net); }
 
   CoreId core_of(neural::PopulationId pop) {
     return report.placement
@@ -140,11 +145,13 @@ TEST(Migration, ErrorsWhenNoSpareExists) {
   cfg.machine.chip.num_cores = 3;  // 1 monitor-reserved + 2 app cores
   cfg.mapper.neurons_per_core = 64;
   System sys(cfg);
-  neural::Network net;
-  const auto a = net.add_poisson("a", 32, 10.0);
-  const auto b = net.add_lif("b", 32);
-  net.connect(a, b, neural::Connector::one_to_one(),
-              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  net::NetBuilder nb;
+  nb.poisson("a", 32, 10.0);
+  nb.lif("b", 32);
+  nb.project("a", "b", neural::Connector::one_to_one(),
+             neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  const neural::Network net = test::compile(nb.description());
+  constexpr neural::PopulationId b = 1;
   auto report = sys.load(net);
   ASSERT_TRUE(report.ok);
   map::Migrator migrator(net, report.placement, cfg.mapper);
@@ -182,11 +189,13 @@ TEST(Migration, NoSpareErrorQuantifiesTheExhaustion) {
   cfg.machine.chip.num_cores = 3;  // 1 monitor-reserved + 2 app cores
   cfg.mapper.neurons_per_core = 64;
   System sys(cfg);
-  neural::Network net;
-  const auto a = net.add_poisson("a", 32, 10.0);
-  const auto b = net.add_lif("b", 32);
-  net.connect(a, b, neural::Connector::one_to_one(),
-              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  net::NetBuilder nb;
+  nb.poisson("a", 32, 10.0);
+  nb.lif("b", 32);
+  nb.project("a", "b", neural::Connector::one_to_one(),
+             neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  const neural::Network net = test::compile(nb.description());
+  constexpr neural::PopulationId b = 1;
   auto report = sys.load(net);
   ASSERT_TRUE(report.ok);
   map::Migrator migrator(net, report.placement, cfg.mapper);
@@ -253,11 +262,14 @@ TEST(Migration, KillFaultCountsTheVictimsUnhandledRowReadAsLost) {
   // A silent source and an undriven target: the only traffic is the one
   // spike the test delivers.
   System sys(small_system());
-  neural::Network net;
-  const auto src = net.add_spike_source("src", {{}});
-  const auto dst = net.add_lif("dst", 32);
-  net.connect(src, dst, neural::Connector::all_to_all(),
-              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  net::NetBuilder b;
+  b.spike_source("src", {{}});
+  b.lif("dst", 32);
+  b.project("src", "dst", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  const neural::Network net = test::compile(b.description());
+  constexpr neural::PopulationId src = 0;
+  constexpr neural::PopulationId dst = 1;
   map::LoadReport report = sys.load(net);
   ASSERT_TRUE(report.ok);
   sys.run(10 * kMillisecond);

@@ -21,6 +21,7 @@
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "network_util.hpp"
 #include "session_test_util.hpp"
 
 namespace spinn::net {
@@ -151,53 +152,51 @@ void expect_same_network(const neural::Network& a, const neural::Network& b) {
 
 // ---- the shared describe -> Network builder --------------------------------
 
-// The built-in apps now compile from descriptions through neural::build;
-// this pins the description path against hand-written convenience-builder
-// construction — the historic (pre-wire) app networks, member for member.
+// Each built-in app compiles to the historic (pre-wire) app network, member
+// for member: the nets below are spelled independently of spec.cpp, so a
+// change to an app's description or to its compilation shows here.
 TEST(NetDescription, BuildMatchesConvenienceBuilders) {
   {
-    neural::Network direct;
-    const auto src = direct.add_spike_source("src", {{2, 8}, {5}});
-    const auto dst = direct.add_lif("dst", 4);
-    direct.connect(src, dst, neural::Connector::all_to_all(),
-                   neural::ValueDist::fixed(30.0),
-                   neural::ValueDist::fixed(1.0));
+    NetBuilder b;
+    b.spike_source("src", {{2, 8}, {5}});
+    b.lif("dst", 4);
+    b.project("src", "dst", neural::Connector::all_to_all(),
+              neural::ValueDist::fixed(30.0), neural::ValueDist::fixed(1.0));
     server::SessionSpec spec;
     spec.app = "chain";
     SCOPED_TRACE("chain");
-    expect_same_network(server::build_network(spec), direct);
+    expect_same_network(server::build_network(spec), test::compile(b.description()));
   }
   {
-    neural::Network direct;
-    const auto noise = direct.add_poisson("noise", 64, 40.0);
-    const auto exc = direct.add_lif("exc", 128);
-    const auto inh = direct.add_lif("inh", 32);
-    direct.connect(noise, exc, neural::Connector::fixed_probability(0.2),
-                   neural::ValueDist::uniform(4.0, 8.0),
-                   neural::ValueDist::fixed(1.0));
-    direct.connect(exc, inh, neural::Connector::fixed_probability(0.1),
-                   neural::ValueDist::fixed(3.0),
-                   neural::ValueDist::uniform(1.0, 4.0));
-    direct.connect(inh, exc, neural::Connector::fixed_probability(0.1),
-                   neural::ValueDist::fixed(6.0),
-                   neural::ValueDist::fixed(1.0), /*inhibitory=*/true);
+    NetBuilder b;
+    b.poisson("noise", 64, 40.0);
+    b.lif("exc", 128);
+    b.lif("inh", 32);
+    b.project("noise", "exc", neural::Connector::fixed_probability(0.2),
+              neural::ValueDist::uniform(4.0, 8.0),
+              neural::ValueDist::fixed(1.0));
+    b.project("exc", "inh", neural::Connector::fixed_probability(0.1),
+              neural::ValueDist::fixed(3.0),
+              neural::ValueDist::uniform(1.0, 4.0));
+    b.project("inh", "exc", neural::Connector::fixed_probability(0.1),
+              neural::ValueDist::fixed(6.0), neural::ValueDist::fixed(1.0),
+              /*inhibitory=*/true);
     server::SessionSpec spec;
     spec.app = "noise";
     SCOPED_TRACE("noise");
-    expect_same_network(server::build_network(spec), direct);
+    expect_same_network(server::build_network(spec), test::compile(b.description()));
   }
   {
-    neural::Network direct;
-    const auto src = direct.add_poisson("src", 48, 60.0);
-    const auto dst = direct.add_lif("dst", 48);
-    direct.connect_plastic(src, dst, neural::Connector::fixed_probability(0.3),
-                           neural::ValueDist::fixed(12.0),
-                           neural::ValueDist::fixed(1.0),
-                           neural::StdpParams{});
+    NetBuilder b;
+    b.poisson("src", 48, 60.0);
+    b.lif("dst", 48);
+    b.project_plastic("src", "dst", neural::Connector::fixed_probability(0.3),
+                      neural::ValueDist::fixed(12.0),
+                      neural::ValueDist::fixed(1.0), neural::StdpParams{});
     server::SessionSpec spec;
     spec.app = "stdp";
     SCOPED_TRACE("stdp");
-    expect_same_network(server::build_network(spec), direct);
+    expect_same_network(server::build_network(spec), test::compile(b.description()));
   }
 }
 
@@ -221,6 +220,60 @@ TEST(NetDescription, WireEncodingCompilesToTheSameNetwork) {
   ASSERT_TRUE(neural::build(b.description(), &from_builder, &error)) << error;
   ASSERT_TRUE(neural::build(*parsed, &from_wire, &error)) << error;
   expect_same_network(from_wire, from_builder);
+}
+
+// Every boolean key on the wire reads one grammar (server::parse_bool):
+// the words compile to the same net as the digits, a glitch takes
+// `conv=true`, and any other value is an error naming the key.
+TEST(NetDescription, BooleanKeysAcceptWordsAndDigits) {
+  const auto block = [](const std::string& record, const std::string& inh,
+                        const std::string& self) {
+    return std::vector<std::string>{
+        "net",
+        "pop a poisson 4 rate=50 record=" + record,
+        "pop b lif 4",
+        "proj a b all w=2 d=1 inh=" + inh,
+        "proj b b prob=0.5 w=1 d=1 self=" + self,
+        "end"};
+  };
+  const auto compile = [](const std::vector<std::string>& lines) {
+    NetParser parser;
+    NetParser::Status status = NetParser::Status::More;
+    for (std::size_t i = 1; i < lines.size(); ++i) {  // skip the `net` line
+      status = parser.feed(lines[i]);
+      EXPECT_NE(status, NetParser::Status::Error) << parser.error();
+    }
+    EXPECT_EQ(status, NetParser::Status::Done);
+    return status == NetParser::Status::Done ? test::compile(*parser.take())
+                                             : neural::Network{};
+  };
+  const std::vector<std::string> words = block("true", "on", "false");
+  const neural::Network from_words = compile(words);
+  ASSERT_EQ(from_words.projections().size(), 2u);
+  EXPECT_TRUE(from_words.population(0).record);
+  EXPECT_TRUE(from_words.projections()[0].inhibitory);
+  EXPECT_FALSE(from_words.projections()[1].connector.allow_self);
+  expect_same_network(from_words, compile(block("1", "1", "0")));
+  expect_same_network(compile(block("off", "false", "on")),
+                      compile(block("0", "0", "1")));
+
+  NetServer srv;
+  Client client(srv.port());
+  std::vector<std::string> lines = words;
+  lines.push_back("open app=@ seed=3");
+  lines.push_back("fault $ glitch link=0,0,E conv=true");
+  lines.push_back("close $");
+  const auto blocks = Client::split_response(client.batch(lines));
+  ASSERT_EQ(blocks.size(), 4u);
+  EXPECT_EQ(blocks[0].rfind("ok net ", 0), 0u) << blocks[0];
+  EXPECT_EQ(blocks[1].rfind("ok id=", 0), 0u) << blocks[1];
+  EXPECT_EQ(blocks[2].rfind("ok", 0), 0u) << blocks[2];
+  EXPECT_EQ(blocks[3], "ok");
+
+  const auto refused =
+      Client::split_response(client.batch(block("2", "1", "0")));
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_EQ(refused[0], "err @2 net: 'record' expects a boolean, got '2'");
 }
 
 // ---- the determinism contract over the wire --------------------------------

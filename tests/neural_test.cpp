@@ -1,6 +1,6 @@
 // Tests for the neural substrate: LIF/Izhikevich dynamics in fixed point,
-// the deferred-event input ring (§3.2), synapse packing and the network
-// builder.
+// the deferred-event input ring (§3.2), synapse packing and the compiled
+// network that neural::build produces.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include "neural/network.hpp"
 #include "neural/neuron_models.hpp"
 #include "neural/synapse.hpp"
+#include "network_util.hpp"
 
 namespace spinn::neural {
 namespace {
@@ -449,38 +450,97 @@ TEST(RowStore, PlasticRowKeepsOrderFlagAndHistoryAcrossFinds) {
   EXPECT_FALSE(other.history->has_fired_before);
 }
 
-// ---- network builder ---------------------------------------------------------
+// ---- neural::build: the only producer of a Network ---------------------------
 
 TEST(Network, BuilderAssignsIds) {
-  Network net;
-  const auto a = net.add_lif("a", 100);
-  const auto b = net.add_poisson("b", 50, 10.0);
-  EXPECT_EQ(a, 0u);
-  EXPECT_EQ(b, 1u);
-  EXPECT_EQ(net.population(a).name, "a");
-  EXPECT_EQ(net.population(b).model, NeuronModel::PoissonSource);
-  EXPECT_EQ(net.total_neurons(), 150u);
+  NetworkDescription desc;
+  desc.populations.push_back(make_population("a", NeuronModel::Lif, 100));
+  desc.populations.push_back(
+      make_population("b", NeuronModel::PoissonSource, 50));
+  desc.populations.back().rate_hz = 10.0;
+  desc.populations.push_back(
+      make_population("c", NeuronModel::Izhikevich, 7));
+  const Network net = test::compile(desc);
+  ASSERT_EQ(net.populations().size(), 3u);
+  for (PopulationId id = 0; id < 3; ++id) {
+    EXPECT_EQ(net.population(id).id, id) << "an id is its position";
+  }
+  EXPECT_EQ(net.population(0).name, "a");
+  EXPECT_EQ(net.population(0).size, 100u);
+  EXPECT_EQ(net.population(1).model, NeuronModel::PoissonSource);
+  EXPECT_EQ(net.population(1).size, 50u);
+  EXPECT_EQ(net.population(1).poisson_rate_hz, 10.0);
+  EXPECT_EQ(net.population(2).model, NeuronModel::Izhikevich);
+  // Recording defaults: modelled neurons record, background noise does not.
+  EXPECT_TRUE(net.population(0).record);
+  EXPECT_FALSE(net.population(1).record);
+  EXPECT_TRUE(net.population(2).record);
+  // A description's default parameters compile to the models' defaults.
+  const LifParams lif;
+  EXPECT_EQ(net.population(0).lif.v_rest.raw(), lif.v_rest.raw());
+  EXPECT_EQ(net.population(0).lif.v_reset.raw(), lif.v_reset.raw());
+  EXPECT_EQ(net.population(0).lif.v_thresh.raw(), lif.v_thresh.raw());
+  EXPECT_EQ(net.population(0).lif.decay.raw(), lif.decay.raw());
+  EXPECT_EQ(net.population(0).lif.r_scale.raw(), lif.r_scale.raw());
+  EXPECT_EQ(net.population(0).lif.refractory_ticks, lif.refractory_ticks);
+  const IzhParams izh;
+  EXPECT_EQ(net.population(2).izh.a.raw(), izh.a.raw());
+  EXPECT_EQ(net.population(2).izh.b.raw(), izh.b.raw());
+  EXPECT_EQ(net.population(2).izh.c.raw(), izh.c.raw());
+  EXPECT_EQ(net.population(2).izh.d.raw(), izh.d.raw());
 }
 
 TEST(Network, ConnectRecordsProjection) {
-  Network net;
-  const auto a = net.add_lif("a", 10);
-  const auto b = net.add_lif("b", 10);
-  net.connect(a, b, Connector::fixed_probability(0.5),
-              ValueDist::fixed(1.0), ValueDist::uniform(1.0, 4.0), true);
-  ASSERT_EQ(net.projections().size(), 1u);
+  NetworkDescription desc;
+  desc.populations.push_back(make_population("a", NeuronModel::Lif, 10));
+  desc.populations.push_back(make_population("b", NeuronModel::Lif, 10));
+  desc.projections.push_back(make_projection(
+      "a", "b", Connector::fixed_probability(0.5), ValueDist::fixed(1.0),
+      ValueDist::uniform(1.0, 4.0), /*inhibitory=*/true));
+  ProjectionDesc plastic =
+      make_projection("b", "a", Connector::all_to_all(),
+                      ValueDist::uniform(2.0, 3.0), ValueDist::fixed(2.0));
+  plastic.stdp.enabled = true;
+  plastic.stdp.a_plus = 0.5;
+  plastic.stdp.window_ticks = 12;
+  desc.projections.push_back(plastic);
+  const Network net = test::compile(desc);
+  ASSERT_EQ(net.projections().size(), 2u);
   const Projection& p = net.projections()[0];
-  EXPECT_EQ(p.pre, a);
-  EXPECT_EQ(p.post, b);
+  EXPECT_EQ(p.pre, 0u);
+  EXPECT_EQ(p.post, 1u);
   EXPECT_TRUE(p.inhibitory);
   EXPECT_EQ(p.connector.kind, ConnectorKind::FixedProbability);
+  EXPECT_EQ(p.connector.probability, 0.5);
+  EXPECT_FALSE(p.connector.allow_self);
+  EXPECT_EQ(p.weight.lo, 1.0);
+  EXPECT_EQ(p.weight.hi, 1.0);
+  EXPECT_EQ(p.delay_ms.lo, 1.0);
+  EXPECT_EQ(p.delay_ms.hi, 4.0);
+  EXPECT_FALSE(p.stdp.enabled);
+  const Projection& q = net.projections()[1];
+  EXPECT_EQ(q.pre, 1u);
+  EXPECT_EQ(q.post, 0u);
+  EXPECT_FALSE(q.inhibitory);
+  EXPECT_EQ(q.connector.kind, ConnectorKind::AllToAll);
+  EXPECT_EQ(q.weight.lo, 2.0);
+  EXPECT_EQ(q.weight.hi, 3.0);
+  EXPECT_TRUE(q.stdp.enabled);
+  EXPECT_EQ(q.stdp.a_plus, 0.5);
+  EXPECT_EQ(q.stdp.a_minus, StdpParams{}.a_minus);
+  EXPECT_EQ(q.stdp.window_ticks, 12u);
 }
 
 TEST(Network, SpikeSourceScheduleStored) {
-  Network net;
-  const auto s = net.add_spike_source("in", {{1, 5, 9}, {2}});
-  EXPECT_EQ(net.population(s).size, 2u);
-  EXPECT_EQ(net.population(s).spike_schedule[0].size(), 3u);
+  NetworkDescription desc;
+  PopulationDesc in = make_population("in", NeuronModel::SpikeSourceArray, 2);
+  in.schedule = {{1, 5, 9}, {2}};
+  desc.populations.push_back(in);
+  const Network net = test::compile(desc);
+  ASSERT_EQ(net.populations().size(), 1u);
+  EXPECT_EQ(net.population(0).size, 2u);
+  EXPECT_EQ(net.population(0).spike_schedule, in.schedule);
+  EXPECT_TRUE(net.population(0).record);
 }
 
 TEST(ValueDist, FixedAndUniform) {

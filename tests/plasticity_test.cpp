@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
+#include "net/client.hpp"
+#include "network_util.hpp"
 
 namespace spinn {
 namespace {
@@ -17,12 +19,30 @@ SystemConfig one_chip() {
   return cfg;
 }
 
-/// A harness where one pre-synaptic spike source drives one LIF, and a
-/// second strong "teacher" source forces the LIF to fire at chosen ticks.
+/// One pre-synaptic spike source drives one LIF through a plastic synapse
+/// of weight w0, and a second strong "teacher" source forces the LIF to
+/// fire at chosen ticks.
+neural::Network pairing_net(std::vector<std::uint32_t> pre_ticks,
+                            std::vector<std::uint32_t> teacher_ticks,
+                            double w0, const neural::StdpParams& stdp) {
+  net::NetBuilder b;
+  b.spike_source("pre", {std::move(pre_ticks)});
+  b.spike_source("teacher", {std::move(teacher_ticks)});
+  b.lif("post", 1);
+  b.project_plastic("pre", "post", neural::Connector::one_to_one(),
+                    neural::ValueDist::fixed(w0),
+                    neural::ValueDist::fixed(1.0), stdp);
+  b.project("teacher", "post", neural::Connector::one_to_one(),
+            neural::ValueDist::fixed(50.0), neural::ValueDist::fixed(1.0));
+  return test::compile(b.description());
+}
+
+/// A harness that loads pairing_net() on one chip.
 struct PairingRig {
+  static constexpr neural::PopulationId pre = 0;
+  static constexpr neural::PopulationId post = 2;
   System sys;
   neural::Network net;
-  neural::PopulationId pre, post, teacher;
   map::LoadReport report;
   neural::NeuronApp* post_app = nullptr;
   RoutingKey pre_key = 0;
@@ -30,16 +50,9 @@ struct PairingRig {
   PairingRig(std::vector<std::uint32_t> pre_ticks,
              std::vector<std::uint32_t> teacher_ticks, double w0,
              const neural::StdpParams& stdp)
-      : sys(one_chip()) {
-    pre = net.add_spike_source("pre", {std::move(pre_ticks)});
-    teacher = net.add_spike_source("teacher", {std::move(teacher_ticks)});
-    post = net.add_lif("post", 1);
-    net.connect_plastic(pre, post, neural::Connector::one_to_one(),
-                        neural::ValueDist::fixed(w0),
-                        neural::ValueDist::fixed(1.0), stdp);
-    net.connect(teacher, post, neural::Connector::one_to_one(),
-                neural::ValueDist::fixed(50.0),
-                neural::ValueDist::fixed(1.0));
+      : sys(one_chip()),
+        net(pairing_net(std::move(pre_ticks), std::move(teacher_ticks), w0,
+                        stdp)) {
     report = sys.load(net);
     // Locate the post app and the pre neuron's row key.
     const auto& slices = report.placement.slices;
@@ -119,18 +132,18 @@ TEST(Stdp, WeightsClampAtMax) {
 }
 
 TEST(Stdp, StaticSynapsesUntouched) {
-  // Same scenario but a plain connect(): weight must not move.
+  // Same scenario but a static projection: weight must not move.
   SystemConfig cfg = one_chip();
   System sys(cfg);
-  neural::Network net;
-  const auto pre = net.add_spike_source("pre", {{5, 20}});
-  const auto teacher = net.add_spike_source("t", {{5}});
-  const auto post = net.add_lif("post", 1);
-  net.connect(pre, post, neural::Connector::one_to_one(),
-              neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
-  net.connect(teacher, post, neural::Connector::one_to_one(),
-              neural::ValueDist::fixed(50.0), neural::ValueDist::fixed(1.0));
-  const auto report = sys.load(net);
+  net::NetBuilder b;
+  b.spike_source("pre", {{5, 20}});
+  b.spike_source("t", {{5}});
+  b.lif("post", 1);
+  b.project("pre", "post", neural::Connector::one_to_one(),
+            neural::ValueDist::fixed(1.0), neural::ValueDist::fixed(1.0));
+  b.project("t", "post", neural::Connector::one_to_one(),
+            neural::ValueDist::fixed(50.0), neural::ValueDist::fixed(1.0));
+  const auto report = sys.load(test::compile(b.description()));
   ASSERT_TRUE(report.ok);
   sys.run(40 * kMillisecond);
   for (auto* app : sys.apps()) {

@@ -17,6 +17,8 @@
 
 #include "core/system.hpp"
 #include "net/client.hpp"
+#include "network_util.hpp"
+#include "obs/registry.hpp"
 #include "server/spec.hpp"
 #include "sim/sharded_simulator.hpp"
 
@@ -108,58 +110,57 @@ SystemConfig make_config(const Case& c, std::uint64_t seed,
 // ---- scenarios -------------------------------------------------------------
 
 void scenario_spike_chain(System& sys) {
-  neural::Network net;
-  const auto src = net.add_spike_source("src", {{2, 8}, {5}});
-  const auto dst = net.add_lif("dst", 4);
-  net.connect(src, dst, neural::Connector::all_to_all(),
-              neural::ValueDist::fixed(30.0), neural::ValueDist::fixed(1.0));
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.spike_source("src", {{2, 8}, {5}});
+  b.lif("dst", 4);
+  b.project("src", "dst", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(30.0), neural::ValueDist::fixed(1.0));
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(20 * kMillisecond);
 }
 
 void scenario_scatter_poisson(System& sys) {
-  neural::Network net;
-  const auto src = net.add_poisson("src", 96, 80.0);
-  const auto dst = net.add_lif("dst", 96);
-  net.population(src).record = true;
-  net.connect(src, dst, neural::Connector::fixed_probability(0.25),
-              neural::ValueDist::uniform(3.0, 7.0),
-              neural::ValueDist::fixed(1.0));
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.poisson("src", 96, 80.0).record = true;
+  b.lif("dst", 96);
+  b.project("src", "dst", neural::Connector::fixed_probability(0.25),
+            neural::ValueDist::uniform(3.0, 7.0),
+            neural::ValueDist::fixed(1.0));
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(60 * kMillisecond);
 }
 
 void scenario_stdp(System& sys) {
-  neural::Network net;
-  const auto src = net.add_poisson("src", 48, 60.0);
-  const auto dst = net.add_lif("dst", 48);
-  net.connect_plastic(src, dst, neural::Connector::fixed_probability(0.3),
-                      neural::ValueDist::fixed(12.0),
-                      neural::ValueDist::fixed(1.0), neural::StdpParams{});
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.poisson("src", 48, 60.0);
+  b.lif("dst", 48);
+  b.project_plastic("src", "dst", neural::Connector::fixed_probability(0.3),
+                    neural::ValueDist::fixed(12.0),
+                    neural::ValueDist::fixed(1.0), neural::StdpParams{});
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(50 * kMillisecond);
 }
 
 void scenario_booted_machine(System& sys) {
   const auto report = sys.boot();
   ASSERT_GT(report.chips_alive, 0u);
-  neural::Network net;
-  const auto noise = net.add_poisson("noise", 64, 40.0);
-  const auto exc = net.add_lif("exc", 128);
-  net.connect(noise, exc, neural::Connector::fixed_probability(0.2),
-              neural::ValueDist::uniform(4.0, 8.0),
-              neural::ValueDist::fixed(1.0));
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.poisson("noise", 64, 40.0);
+  b.lif("exc", 128);
+  b.project("noise", "exc", neural::Connector::fixed_probability(0.2),
+            neural::ValueDist::uniform(4.0, 8.0),
+            neural::ValueDist::fixed(1.0));
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(40 * kMillisecond);
 }
 
 void scenario_fault_injection(System& sys) {
-  neural::Network net;
-  const auto src = net.add_poisson("src", 64, 100.0);
-  const auto dst = net.add_lif("dst", 64);
-  net.connect(src, dst, neural::Connector::fixed_probability(0.3),
-              neural::ValueDist::fixed(5.0), neural::ValueDist::fixed(1.0));
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.poisson("src", 64, 100.0);
+  b.lif("dst", 64);
+  b.project("src", "dst", neural::Connector::fixed_probability(0.3),
+            neural::ValueDist::fixed(5.0), neural::ValueDist::fixed(1.0));
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(20 * kMillisecond);
   sys.machine().fail_link({0, 0}, LinkDir::East);
   sys.run(20 * kMillisecond);
@@ -269,6 +270,21 @@ TEST(ShardedEquivalence, ThreadCountDoesNotAffectResults) {
   EXPECT_EQ(one.windows, many.windows);
   EXPECT_EQ(one.busiest, one.executed)
       << "one thread is every window's busiest worker";
+}
+
+// The window histogram's count is the engine's window count: a scrape
+// reads how many windows ran from `sim.window_wall_ns.count`.
+TEST(ShardedEquivalence, WindowHistogramCountsEveryWindow) {
+  const Case& c = case_named("scatter_poisson");
+  const obs::Histogram& windows = obs::Registry::global().histogram(
+      "sim.window_wall_ns", 0, 100'000'000, 1000);
+  System sys(make_config(c, 5u, sharded_engine(4, 2)));
+  const std::uint64_t before = windows.count();
+  c.scenario(sys);
+  const auto& engine =
+      dynamic_cast<const sim::ShardedSimulator&>(sys.engine());
+  ASSERT_GT(engine.windows_opened(), 0u);
+  EXPECT_EQ(windows.count() - before, engine.windows_opened());
 }
 
 // One shard has no cross-shard send to bound a window, so while no root

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "core/system.hpp"
+#include "net/client.hpp"
+#include "network_util.hpp"
 
 namespace spinn {
 namespace {
@@ -27,12 +29,12 @@ TEST(System, BootThenLoadThenRun) {
   EXPECT_TRUE(boot_report.complete);
   EXPECT_EQ(boot_report.chips_alive, 4u);
 
-  neural::Network net;
-  const auto src = net.add_spike_source("s", {{1, 2, 3}});
-  const auto dst = net.add_lif("d", 4);
-  net.connect(src, dst, neural::Connector::all_to_all(),
-              neural::ValueDist::fixed(30.0), neural::ValueDist::fixed(1.0));
-  const auto load_report = sys.load(net);
+  net::NetBuilder b;
+  b.spike_source("s", {{1, 2, 3}});
+  b.lif("d", 4);
+  b.project("s", "d", neural::Connector::all_to_all(),
+            neural::ValueDist::fixed(30.0), neural::ValueDist::fixed(1.0));
+  const auto load_report = sys.load(test::compile(b.description()));
   ASSERT_TRUE(load_report.ok) << load_report.error;
 
   // Placement must respect the *booted* monitors.
@@ -49,10 +51,9 @@ TEST(System, BootThenLoadThenRun) {
 
 TEST(System, LoadWithoutBootAlsoWorks) {
   System sys(tiny());
-  neural::Network net;
-  net.add_poisson("p", 16, 100.0);
-  net.population(0).record = true;
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.poisson("p", 16, 100.0).record = true;
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(20 * kMillisecond);
   EXPECT_GT(sys.spikes().count(), 0u);
 }
@@ -143,12 +144,12 @@ TEST(BoundedAsynchrony, NoGlobalClockMeansDistinctPhases) {
 
 TEST(System, FabricTotalsAndEnergyAccessors) {
   System sys(tiny());
-  neural::Network net;
-  const auto a = net.add_poisson("a", 32, 50.0);
-  const auto b = net.add_lif("b", 32);
-  net.connect(a, b, neural::Connector::fixed_probability(0.2),
-              neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
-  ASSERT_TRUE(sys.load(net).ok);
+  net::NetBuilder b;
+  b.poisson("a", 32, 50.0);
+  b.lif("b", 32);
+  b.project("a", "b", neural::Connector::fixed_probability(0.2),
+            neural::ValueDist::fixed(2.0), neural::ValueDist::fixed(1.0));
+  ASSERT_TRUE(sys.load(test::compile(b.description())).ok);
   sys.run(50 * kMillisecond);
   EXPECT_GT(sys.fabric_totals().received, 0u);
   EXPECT_GT(sys.energy().total_j(), 0.0);
